@@ -25,12 +25,15 @@ from .analytic import DenominatorMode, routability
 from .geometry import ALL_GEOMETRIES, Geometry, GeometrySpec
 from .reporting import COLUMNS, render
 from .scalability import classify
-from .simulator import SIM_MAX_D, SimSeeds, estimate_routability
+from .simulator import MAX_PAIRS_PER_TRIAL, SIM_MAX_D, SimSeeds, estimate_routability
 
 COMMANDS = ("analytic", "simulate", "compare", "asymptotic", "scalability")
 
 #: q values accepted by experiment grids.
 Q_GRID_MAX = 0.95
+
+#: Largest q grid an experiment may request.
+Q_GRID_MAX_POINTS = 10_000
 
 _GRID_DEFAULTS = {
     "analytic": {"d": "16", "q_start": 0.0, "q_stop": 0.5, "q_step": 0.05},
@@ -81,6 +84,8 @@ class ExperimentConfig:
             raise UsageError("d values must be >= 1")
         if self.trials < 1 or self.pairs_per_trial < 1:
             raise UsageError("trials and pairs must be >= 1")
+        if self.pairs_per_trial > MAX_PAIRS_PER_TRIAL:
+            raise UsageError(f"pairs must be <= {MAX_PAIRS_PER_TRIAL}")
         if self.seed < 0:
             raise UsageError("seed must be non-negative")
         if self.k_n < 1 or self.k_s < 1:
@@ -95,9 +100,12 @@ class ExperimentConfig:
     def q_grid(self) -> tuple[float, ...]:
         if self.q_stop < self.q_start:
             raise UsageError("q-stop must be >= q-start")
-        if self.q_step <= 0:
+        if not self.q_step > 0:
             raise UsageError("q-step must be > 0")
-        count = int((self.q_stop - self.q_start) / self.q_step + 1e-9) + 1
+        steps = (self.q_stop - self.q_start) / self.q_step + 1e-9
+        if not steps < Q_GRID_MAX_POINTS:
+            raise UsageError(f"q grid must have at most {Q_GRID_MAX_POINTS} points")
+        count = int(steps) + 1
         return tuple(round(self.q_start + i * self.q_step, 10) for i in range(count))
 
     def seeds(self) -> SimSeeds:

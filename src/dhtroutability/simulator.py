@@ -1,34 +1,32 @@
 """Monte Carlo overlay simulator: concrete topologies, failures, routing.
 
 Builds fully populated overlays (every d-bit identifier hosts a node),
-kills nodes independently with probability q, and runs each geometry's
-greedy no-back-tracking router over the survivors:
+kills nodes independently with probability q, and routes over the
+survivors with one greedy no-back-tracking rule: step to the alive link
+that minimizes a distance metric to the target, and only if that link
+strictly decreases it.  The metric is XOR distance for tree, hypercube
+and xor, and clockwise distance for ring and symphony.  Two geometries
+narrow the rule through their links alone:
 
-  tree       forward to the unique bucket neighbor correcting the
-             leftmost differing bit; dead neighbor means the message drops
-  hypercube  forward to any alive neighbor flipping a differing bit
-             (lowest-index differing bit breaks ties deterministically)
-  xor        forward to the alive neighbor with the smallest XOR distance
-             to the target, only when strictly smaller than the current one
-  ring       forward to the alive finger with the largest clockwise
-             offset that does not overshoot the target
-  symphony   forward to the alive link (near neighbor or shortcut) that
-             minimizes the remaining clockwise distance without overshooting
+  tree       may use only the link correcting the leftmost differing bit,
+             so a dead bucket neighbor drops the message
+  hypercube  links flip one bit each, so the XOR-minimal step flips the
+             highest alive differing bit
 
-Every hop strictly decreases the geometry's distance metric, so routes
-are loop-free; a defensive hop cap of 4N aborts a route anyway and is
-counted separately.  Randomized construction choices (XOR bucket
-suffixes, ring finger offsets, symphony shortcut lengths) derive
-deterministically from a 64-bit build seed, and failure patterns and pair
-sampling from their own seeds, so identical seeds reproduce bit-identical
-outcomes.
+For ring and symphony, strictly decreasing clockwise distance is the same
+as taking the longest alive link that does not overshoot the target.
+Every hop strictly decreases the metric, so routes are loop-free; a
+defensive hop cap of 4N aborts a route anyway and is counted separately.
+Randomized construction choices (XOR bucket suffixes, ring finger
+offsets, symphony shortcut lengths) derive deterministically from a
+64-bit build seed, and failure patterns and pair sampling from their own
+seeds, so identical seeds reproduce bit-identical outcomes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -41,9 +39,8 @@ SIM_MAX_D = 20
 #: Defensive hop cap multiplier (cap = 4 * N).
 HOP_CAP_FACTOR = 4
 
-#: Below this node count, adjacency and aliveness are mirrored into
-#: plain Python lists for faster routing loops.
-_PYTHON_ROWS_MAX_NODES = 1 << 16
+#: Routing allocates pairs x links arrays per trial, so pairs are bounded.
+MAX_PAIRS_PER_TRIAL = 1_000_000
 
 FAILED_DEAD_END = "dead_end"
 FAILED_HOP_CAP = "hop_cap"
@@ -81,20 +78,6 @@ class Overlay:
     @property
     def n_nodes(self) -> int:
         return self.spec.n_nodes
-
-    @cached_property
-    def _target_rows(self):
-        if self.n_nodes <= _PYTHON_ROWS_MAX_NODES:
-            return self.targets.tolist()
-        return self.targets
-
-    @cached_property
-    def _offset_rows(self):
-        if self.offsets is None:
-            return None
-        if self.n_nodes <= _PYTHON_ROWS_MAX_NODES:
-            return self.offsets.tolist()
-        return self.offsets
 
     def neighbors(self, node: int) -> list[Neighbor]:
         """Role-tagged links of one node."""
@@ -194,12 +177,6 @@ class FailurePattern:
     def n_alive(self) -> int:
         return int(np.count_nonzero(self.alive))
 
-    @cached_property
-    def _alive_seq(self):
-        if self.n_nodes <= _PYTHON_ROWS_MAX_NODES:
-            return self.alive.tolist()
-        return self.alive
-
 
 def draw_failure_pattern(n_nodes: int, q: float, fail_seed: int) -> FailurePattern:
     """Reproducible aliveness mask over n_nodes from (q, fail_seed)."""
@@ -223,131 +200,50 @@ class RouteResult:
         return self.delivered
 
 
-def _route_tree(rows, alive, src, dst, d, hop_cap):
-    cur = src
-    hops = 0
-    while cur != dst:
-        if hops >= hop_cap:
-            return False, hops, FAILED_HOP_CAP
-        col = d - (cur ^ dst).bit_length()
-        nxt = rows[cur][col]
-        if not alive[nxt]:
-            return False, hops, FAILED_DEAD_END
-        cur = int(nxt)
-        hops += 1
-    return True, hops, None
+def _route_batch(overlay: Overlay, alive: np.ndarray, src, dst):
+    """Greedy routes for whole pair arrays, advanced in lockstep.
 
-
-def _route_hypercube(rows, alive, src, dst, d, hop_cap):
-    cur = src
-    hops = 0
-    while cur != dst:
-        if hops >= hop_cap:
-            return False, hops, FAILED_HOP_CAP
-        diff = cur ^ dst
-        row = rows[cur]
-        nxt = -1
-        for col in range(d):
-            if diff & (1 << (d - 1 - col)):
-                t = row[col]
-                if alive[t]:
-                    nxt = int(t)
-                    break
-        if nxt < 0:
-            return False, hops, FAILED_DEAD_END
-        cur = nxt
-        hops += 1
-    return True, hops, None
-
-
-def _route_xor(rows, alive, src, dst, hop_cap):
-    cur = src
-    hops = 0
-    while cur != dst:
-        if hops >= hop_cap:
-            return False, hops, FAILED_HOP_CAP
-        best = cur ^ dst
-        nxt = -1
-        for t in rows[cur]:
-            if alive[t]:
-                dist = t ^ dst
-                if dist < best:
-                    best = dist
-                    nxt = t
-        if nxt < 0:
-            return False, hops, FAILED_DEAD_END
-        cur = int(nxt)
-        hops += 1
-    return True, hops, None
-
-
-def _route_ring(rows, offs, alive, src, dst, n, n_cols, hop_cap):
-    cur = src
-    hops = 0
-    while cur != dst:
-        if hops >= hop_cap:
-            return False, hops, FAILED_HOP_CAP
-        delta = (dst - cur) % n
-        row_t = rows[cur]
-        row_o = offs[cur]
-        nxt = -1
-        # Offsets grow with the finger index, so the first alive
-        # non-overshooting finger from the top is the greedy choice.
-        for col in range(n_cols - 1, -1, -1):
-            if row_o[col] <= delta:
-                t = row_t[col]
-                if alive[t]:
-                    nxt = int(t)
-                    break
-        if nxt < 0:
-            return False, hops, FAILED_DEAD_END
-        cur = nxt
-        hops += 1
-    return True, hops, None
-
-
-def _route_symphony(rows, offs, alive, src, dst, n, n_cols, hop_cap):
-    cur = src
-    hops = 0
-    while cur != dst:
-        if hops >= hop_cap:
-            return False, hops, FAILED_HOP_CAP
-        delta = (dst - cur) % n
-        row_t = rows[cur]
-        row_o = offs[cur]
-        best = 0
-        nxt = -1
-        for col in range(n_cols):
-            o = row_o[col]
-            if best < o <= delta:
-                t = row_t[col]
-                if alive[t]:
-                    best = o
-                    nxt = int(t)
-        if nxt < 0:
-            return False, hops, FAILED_DEAD_END
-        cur = nxt
-        hops += 1
-    return True, hops, None
-
-
-def _route_raw(overlay: Overlay, alive, src: int, dst: int):
-    kind = overlay.spec.kind
-    d = overlay.spec.d
-    n = overlay.n_nodes
-    hop_cap = HOP_CAP_FACTOR * n
-    rows = overlay._target_rows
-    if kind is Geometry.TREE:
-        return _route_tree(rows, alive, src, dst, d, hop_cap)
-    if kind is Geometry.HYPERCUBE:
-        return _route_hypercube(rows, alive, src, dst, d, hop_cap)
-    if kind is Geometry.XOR:
-        return _route_xor(rows, alive, src, dst, hop_cap)
-    offs = overlay._offset_rows
-    n_cols = len(overlay.roles)
-    if kind is Geometry.RING:
-        return _route_ring(rows, offs, alive, src, dst, n, n_cols, hop_cap)
-    return _route_symphony(rows, offs, alive, src, dst, n, n_cols, hop_cap)
+    Each step moves every active pair to its alive link with the smallest
+    metric to the target, among links that strictly decrease it: XOR
+    distance, or clockwise distance when the overlay has offsets.  A tree
+    node may use only the link correcting the leftmost differing bit.
+    Pairs with no usable link are dead ends; pairs still active after
+    HOP_CAP_FACTOR * N steps hit the hop cap.  Returns per-pair
+    (delivered, hops, capped) arrays.
+    """
+    d, n = overlay.spec.d, overlay.n_nodes
+    clockwise = overlay.offsets is not None
+    tree = overlay.spec.kind is Geometry.TREE
+    bit_values = 1 << np.arange(d)
+    # Metrics are below n = 2^d, so OR-ing n into a dead link's metric rules it out.
+    dead_penalty = np.where(alive, 0, n).astype(np.int32)
+    cur = np.array(src, dtype=np.int32)
+    dst = np.asarray(dst, dtype=np.int32)
+    hops = np.zeros(cur.shape, dtype=np.int64)
+    active = np.flatnonzero(cur != dst)
+    steps = 0
+    while active.size and steps < HOP_CAP_FACTOR * n:
+        steps += 1
+        node, goal = cur[active], dst[active]
+        here = (goal - node) & (n - 1) if clockwise else node ^ goal
+        if tree:
+            # Column c flips bit d-1-c; bit_length(here) by exact search.
+            col = d - np.searchsorted(bit_values, here, side="right")
+            links = overlay.targets[node, col][:, None]
+        else:
+            links = overlay.targets[node]
+        metric = (goal[:, None] - links) & (n - 1) if clockwise else links ^ goal[:, None]
+        metric |= dead_penalty[links]
+        rows = np.arange(active.size)
+        best = metric.argmin(axis=1)
+        moved = metric[rows, best] < here
+        active = active[moved]
+        cur[active] = links[rows[moved], best[moved]]
+        hops[active] += 1
+        active = active[cur[active] != dst[active]]
+    capped = np.zeros(cur.shape, dtype=bool)
+    capped[active] = True
+    return cur == dst, hops, capped
 
 
 def route(overlay: Overlay, pattern: FailurePattern, src: int, dst: int) -> RouteResult:
@@ -364,8 +260,12 @@ def route(overlay: Overlay, pattern: FailurePattern, src: int, dst: int) -> Rout
         raise ValueError("src and dst must differ")
     if pattern.n_nodes != n:
         raise ValueError("failure pattern size does not match the overlay")
-    delivered, hops, reason = _route_raw(overlay, pattern._alive_seq, src, dst)
-    return RouteResult(delivered=delivered, hops=hops, reason=reason)
+    delivered, hops, capped = _route_batch(overlay, pattern.alive, [src], [dst])
+    if delivered[0]:
+        reason = None
+    else:
+        reason = FAILED_HOP_CAP if capped[0] else FAILED_DEAD_END
+    return RouteResult(delivered=bool(delivered[0]), hops=int(hops[0]), reason=reason)
 
 
 @dataclass(frozen=True)
@@ -409,6 +309,8 @@ def estimate_routability(
     """
     if trials < 1 or pairs_per_trial < 1:
         raise ValueError("trials and pairs_per_trial must be >= 1")
+    if pairs_per_trial > MAX_PAIRS_PER_TRIAL:
+        raise ValueError(f"pairs_per_trial must be <= {MAX_PAIRS_PER_TRIAL}")
     fractions = []
     hop_cap_hits = 0
     redrawn = 0
@@ -434,18 +336,11 @@ def estimate_routability(
         while collision.any():
             dst_idx[collision] = pair_rng.integers(0, n_alive, size=int(collision.sum()))
             collision = src_idx == dst_idx
-        src_nodes = survivors[src_idx].tolist()
-        dst_nodes = survivors[dst_idx].tolist()
-
-        alive_seq = pattern._alive_seq
-        delivered = 0
-        for src, dst in zip(src_nodes, dst_nodes):
-            ok, _, reason = _route_raw(overlay, alive_seq, src, dst)
-            if ok:
-                delivered += 1
-            elif reason == FAILED_HOP_CAP:
-                hop_cap_hits += 1
-        fractions.append(delivered / pairs_per_trial)
+        delivered, _, capped = _route_batch(
+            overlay, pattern.alive, survivors[src_idx], survivors[dst_idx]
+        )
+        hop_cap_hits += int(np.count_nonzero(capped))
+        fractions.append(int(np.count_nonzero(delivered)) / pairs_per_trial)
 
     mean = math.fsum(fractions) / trials
     if trials > 1:

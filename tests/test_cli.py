@@ -154,6 +154,18 @@ def test_config_validation_errors():
         _config("analytic", q_start=0.5, q_stop=0.1)
 
 
+def test_config_bounds_pairs_and_q_grid():
+    _config("simulate", pairs_per_trial=1_000_000)
+    with pytest.raises(UsageError, match="pairs"):
+        _config("simulate", pairs_per_trial=1_000_001)
+    assert len(_config("analytic", q_stop=0.95, q_step=1e-4).q_grid()) == 9501
+    for step in (1e-5, 1e-9, 5e-324):
+        with pytest.raises(UsageError, match="10000 points"):
+            _config("analytic", q_stop=0.95, q_step=step)
+    with pytest.raises(UsageError, match="q-step"):
+        _config("analytic", q_step=float("nan"))
+
+
 def test_metadata_echoes_config():
     config = _config("analytic", seed=42)
     meta = config.metadata()
@@ -230,6 +242,8 @@ def test_main_usage_errors():
     assert main(["analytic", "--d", "16", "--q-stop", "0.99"]) == 1
     assert main(["simulate", "--d", "24"]) == 1  # simulator scale cap
     assert main(["compare", "--d", "10,12"]) == 1  # one d per comparison
+    assert main(["simulate", "--pairs", "1000001"]) == 1
+    assert main(["analytic", "--q-step", "1e-9"]) == 1
 
 
 def test_main_check_exit_codes(tmp_path):

@@ -1,0 +1,116 @@
+"""Differential test: the batched greedy router against a scalar reference.
+
+reference_route follows the README's per-geometry rules one node at a
+time and reads only an overlay's public targets/offsets arrays and an
+aliveness mask.  Both route() and the batched path must agree with it on
+(delivered, hops, reason) for every pair tried.
+"""
+
+import numpy as np
+import pytest
+
+from dhtroutability.geometry import ALL_GEOMETRIES, Geometry, GeometrySpec
+from dhtroutability.simulator import (
+    FailurePattern,
+    Overlay,
+    _route_batch,
+    build_overlay,
+    draw_failure_pattern,
+    route,
+)
+
+
+def reference_route(kind, targets, offsets, alive, src, dst):
+    """README rules: tree corrects the leftmost differing bit, hypercube and
+    xor step to the alive link nearest dst in XOR distance, ring and
+    symphony take the longest alive link that does not overshoot dst."""
+    n = len(alive)
+    cur, hops = src, 0
+    while cur != dst:
+        if hops >= 4 * n:
+            return False, hops, "hop_cap"
+        links = targets[cur].tolist()
+        if offsets is not None:
+            remaining = (dst - cur) % n
+            usable = [
+                (-o, t) for o, t in zip(offsets[cur].tolist(), links) if o <= remaining and alive[t]
+            ]
+        else:
+            diff = cur ^ dst
+            if kind is Geometry.TREE:
+                links = [t for t in links if (t ^ cur).bit_length() == diff.bit_length()]
+            usable = [(t ^ dst, t) for t in links if alive[t] and t ^ dst < diff]
+        if not usable:
+            return False, hops, "dead_end"
+        cur = min(usable)[1]
+        hops += 1
+    return True, hops, None
+
+
+def _assert_agree(overlay, alive, src, dst, route_checks):
+    delivered, hops, capped = _route_batch(overlay, alive, src, dst)
+    pattern = FailurePattern(alive=alive, q=0.0, fail_seed=0)
+    for i, (s, t) in enumerate(zip(src.tolist(), dst.tolist())):
+        want = reference_route(overlay.spec.kind, overlay.targets, overlay.offsets, alive, s, t)
+        reason = None if delivered[i] else ("hop_cap" if capped[i] else "dead_end")
+        assert (bool(delivered[i]), int(hops[i]), reason) == want, (s, t)
+        if i < route_checks:
+            got = route(overlay, pattern, s, t)
+            assert (got.delivered, got.hops, got.reason) == want, (s, t)
+
+
+def _pairs(n, rng, limit):
+    src, dst = np.divmod(np.arange(n * n), n)
+    keep = np.flatnonzero(src != dst)
+    if keep.size > limit:
+        keep = rng.choice(keep, size=limit, replace=False)
+    return src[keep], dst[keep]
+
+
+@pytest.mark.parametrize("kind", ALL_GEOMETRIES)
+@pytest.mark.parametrize("d", [3, 6, 10])
+@pytest.mark.parametrize("q", [0.0, 0.1, 0.3, 0.6])
+def test_batched_router_matches_reference(kind, d, q):
+    rng = np.random.default_rng([d, int(q * 10)])
+    overlay = build_overlay(GeometrySpec(kind, d), int(rng.integers(2**32)))
+    alive = draw_failure_pattern(1 << d, q, int(rng.integers(2**32))).alive
+    # Dead endpoints included: a dead dst can only dead-end.
+    src, dst = _pairs(1 << d, rng, limit=1500)
+    _assert_agree(overlay, alive, src, dst, route_checks=100)
+
+
+def test_symphony_duplicate_offsets_match_reference():
+    # k_n = 2 near links plus two shortcuts that often repeat each other
+    # or a near link: equal offsets reach the same node, so ties between
+    # columns must not change the path.
+    d = 5
+    n = 1 << d
+    spec = GeometrySpec(Geometry.SYMPHONY, d, k_n=2, k_s=2)
+    ids = np.arange(n)
+    shortcut = (ids * 7) % 11 + 1
+    offsets = np.column_stack([np.ones(n), np.full(n, 2), shortcut, shortcut]).astype(np.int32)
+    offsets[::3, 2] = 2
+    targets = ((ids[:, None] + offsets) % n).astype(np.int32)
+    roles = ("near-1", "near-2", "shortcut-1", "shortcut-2")
+    overlay = Overlay(spec, 0, targets, offsets, roles)
+    rng = np.random.default_rng(3)
+    for q in (0.0, 0.2, 0.5):
+        alive = rng.random(n) >= q
+        src, dst = _pairs(n, rng, limit=n * n)
+        _assert_agree(overlay, alive, src, dst, route_checks=200)
+
+
+def test_xor_detour_overlay_matches_reference():
+    # The hand-built overlay of test_xor_route_detours_around_failed_neighbor.
+    spec = GeometrySpec(Geometry.XOR, 3)
+    targets = np.array([[v ^ 0b100, v ^ 0b010, v ^ 0b001] for v in range(8)], dtype=np.int32)
+    targets[0b010] = [0b111, 0b000, 0b011]
+    targets[0b000] = [0b110, 0b010, 0b001]
+    targets[0b110] = [0b010, 0b100, 0b111]
+    targets[0b100] = [0b011, 0b110, 0b101]
+    overlay = Overlay(spec, 0, targets, None, ("bucket-1", "bucket-2", "bucket-3"))
+    alive = np.ones(8, dtype=bool)
+    alive[0b111] = False
+    src, dst = _pairs(8, np.random.default_rng(0), limit=64)
+    _assert_agree(overlay, alive, src, dst, route_checks=64)
+    assert reference_route(Geometry.XOR, targets, None, alive, 0b010, 0b101) == (True, 4, None)

@@ -7,10 +7,13 @@ from hypothesis import strategies as st
 
 from dhtroutability.analytic import routability
 from dhtroutability.geometry import ALL_GEOMETRIES, Geometry, GeometrySpec
+from dhtroutability import simulator
 from dhtroutability.simulator import (
     FailurePattern,
     Overlay,
+    RouteResult,
     SimSeeds,
+    _route_batch,
     build_overlay,
     draw_failure_pattern,
     estimate_routability,
@@ -134,6 +137,12 @@ def test_failure_pattern_no_failures():
 # --- routing -------------------------------------------------------------------
 
 
+def _all_ordered_pairs(n):
+    src, dst = np.divmod(np.arange(n * n), n)
+    off_diagonal = src != dst
+    return src[off_diagonal], dst[off_diagonal]
+
+
 def _all_alive(n):
     return FailurePattern(alive=np.ones(n, dtype=bool), q=0.0, fail_seed=0)
 
@@ -192,15 +201,12 @@ def test_no_failures_all_pairs_delivered_d8(kind):
     d = 8
     n = 1 << d
     overlay = build_overlay(GeometrySpec(kind, d), 9)
-    pattern = _all_alive(n)
+    src, dst = _all_ordered_pairs(n)
+    delivered, hops, capped = _route_batch(overlay, np.ones(n, dtype=bool), src, dst)
     hop_bound = d if kind in (Geometry.TREE, Geometry.HYPERCUBE, Geometry.XOR) else n
-    for src in range(n):
-        for dst in range(n):
-            if src == dst:
-                continue
-            result = route(overlay, pattern, src, dst)
-            assert result.delivered, (kind, src, dst, result.reason)
-            assert result.hops <= hop_bound
+    assert delivered.all(), (kind, src[~delivered][:5], dst[~delivered][:5])
+    assert not capped.any()
+    assert hops.max() <= hop_bound
 
 
 @pytest.mark.parametrize("kind", ALL_GEOMETRIES)
@@ -227,21 +233,14 @@ def test_tree_per_distance_delivery_matches_geometric_decay():
     rounds = 8
     overlay = build_overlay(GeometrySpec(Geometry.TREE, d), 3)
     rates = np.zeros((rounds, d + 1))
+    src, dst = _all_ordered_pairs(n)
+    hamming = np.array([x.bit_count() for x in range(n)])[src ^ dst]
     for round_ in range(rounds):
-        delivered = np.zeros(d + 1)
-        attempted = np.zeros(d + 1)
-        pattern = draw_failure_pattern(n, q, 1000 + round_)
-        alive = pattern.alive
-        for src in range(n):
-            if not alive[src]:
-                continue
-            for dst in range(n):
-                if dst == src:
-                    continue
-                h = (src ^ dst).bit_count()
-                attempted[h] += 1
-                if route(overlay, pattern, src, dst).delivered:
-                    delivered[h] += 1
+        alive = draw_failure_pattern(n, q, 1000 + round_).alive
+        live = alive[src]
+        delivered, _, _ = _route_batch(overlay, alive, src[live], dst[live])
+        attempted = np.bincount(hamming[live], minlength=d + 1)
+        delivered = np.bincount(hamming[live], weights=delivered, minlength=d + 1)
         rates[round_] = delivered / np.maximum(attempted, 1)
     for h in range(1, d + 1):
         mean = rates[:, h].mean()
@@ -321,6 +320,25 @@ def test_estimate_validates_budget():
         estimate_routability(GeometrySpec(Geometry.TREE, 4), 0.1, 0, 10, SEEDS)
     with pytest.raises(ValueError):
         estimate_routability(GeometrySpec(Geometry.TREE, 4), 0.1, 1, 0, SEEDS)
+    with pytest.raises(ValueError, match="1000000"):
+        estimate_routability(GeometrySpec(Geometry.TREE, 4), 0.1, 1, 1_000_001, SEEDS)
+
+
+def test_hop_cap_is_reported_and_counted(monkeypatch):
+    # Strict progress keeps every route under N hops, so only a cap below
+    # N binds: 3/64 * N = 3 hops at d = 6.
+    monkeypatch.setattr(simulator, "HOP_CAP_FACTOR", 3 / 64)
+    spec = GeometrySpec(Geometry.TREE, 6)
+    overlay = build_overlay(spec, 0)
+    pattern = _all_alive(64)
+    assert route(overlay, pattern, 0, 0b000111) == RouteResult(True, 3, None)
+    assert route(overlay, pattern, 0, 0b001111) == RouteResult(False, 3, "hop_cap")
+    # With no failures a route can only be delivered or capped.
+    trials, pairs = 4, 500
+    outcome = estimate_routability(spec, 0.0, trials, pairs, SEEDS)
+    delivered = sum(round(f * pairs) for f in outcome.trial_fractions)
+    assert 0 < outcome.hop_cap_hits == trials * pairs - delivered
+    assert outcome.hop_cap_hits < trials * pairs
 
 
 def test_estimate_tracks_analytic_hypercube():
