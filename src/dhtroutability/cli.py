@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from . import __version__
 from .analytic import DenominatorMode, routability
-from .geometry import ALL_GEOMETRIES, Geometry, GeometrySpec
+from .geometry import ALL_GEOMETRIES, MAX_D, Geometry, GeometrySpec
 from .reporting import COLUMNS, render
 from .scalability import classify
 from .simulator import MAX_PAIRS_PER_TRIAL, SIM_MAX_D, SimSeeds, estimate_routability
@@ -80,8 +80,8 @@ class ExperimentConfig:
             raise UsageError("at least one geometry is required")
         if not self.d_values:
             raise UsageError("at least one d value is required")
-        if any(d < 1 for d in self.d_values):
-            raise UsageError("d values must be >= 1")
+        if not all(1 <= d <= MAX_D for d in self.d_values):
+            raise UsageError(f"d values must lie in [1, {MAX_D}]")
         if self.trials < 1 or self.pairs_per_trial < 1:
             raise UsageError("trials and pairs must be >= 1")
         if self.pairs_per_trial > MAX_PAIRS_PER_TRIAL:

@@ -30,6 +30,9 @@ from enum import Enum
 # Largest d for which distance counts are kept as exact integers.
 EXACT_PROFILE_MAX_D = 20
 
+# Largest d accepted: big-integer math.comb profiles cost O(d^2) per call.
+MAX_D = 1000
+
 
 class Geometry(str, Enum):
     TREE = "tree"
@@ -75,8 +78,8 @@ class GeometrySpec:
     def __post_init__(self) -> None:
         if not isinstance(self.kind, Geometry):
             object.__setattr__(self, "kind", Geometry(self.kind))
-        if self.d < 1:
-            raise ValueError(f"identifier length d must be >= 1, got {self.d}")
+        if not 1 <= self.d <= MAX_D:
+            raise ValueError(f"identifier length d must be in [1, {MAX_D}], got {self.d}")
         if self.kind is Geometry.SYMPHONY:
             if self.k_n < 1 or self.k_s < 1:
                 raise ValueError("symphony requires k_n >= 1 and k_s >= 1")

@@ -20,7 +20,10 @@ defensive hop cap of 4N aborts a route anyway and is counted separately.
 Randomized construction choices (XOR bucket suffixes, ring finger
 offsets, symphony shortcut lengths) derive deterministically from a
 64-bit build seed, and failure patterns and pair sampling from their own
-seeds, so identical seeds reproduce bit-identical outcomes.
+seeds, so identical seeds reproduce bit-identical outcomes.  Each
+overlay is one row-major N x links int32 table of link targets, plus one
+of link spans for ring and symphony, and only one trial's overlay is
+alive at a time.
 """
 
 from __future__ import annotations
@@ -101,64 +104,54 @@ def build_overlay(spec: GeometrySpec, build_seed: int) -> Overlay:
     if build_seed < 0:
         raise ValueError("build_seed must be a non-negative integer")
     n = 1 << d
-    ids = np.arange(n, dtype=np.int64)
+    ids = np.arange(n, dtype=np.int32)
     rng = np.random.default_rng(np.random.SeedSequence(build_seed))
     kind = spec.kind
 
-    if kind in (Geometry.TREE, Geometry.HYPERCUBE):
-        # Bucket-i neighbor flips bit i (bit 1 = most significant) and
-        # keeps every other bit, so tree hops correct exactly one bit.
-        cols = [(ids ^ (1 << (d - i))).astype(np.int32) for i in range(1, d + 1)]
-        targets = np.column_stack(cols)
-        roles = tuple(f"bucket-{i}" for i in range(1, d + 1))
-        return Overlay(spec, build_seed, targets, None, roles)
-
-    if kind is Geometry.XOR:
-        # Bucket-i neighbor keeps bits 1..i-1, flips bit i, and draws the
-        # remaining d-i bits uniformly at random.
-        cols = []
-        for i in range(1, d + 1):
-            bit = 1 << (d - i)
-            high_mask = (n - 1) ^ (2 * bit - 1)
-            base = (ids & high_mask) | ((ids & bit) ^ bit)
-            suffix = rng.integers(0, bit, size=n, dtype=np.int64) if bit > 1 else 0
-            cols.append((base | suffix).astype(np.int32))
-        targets = np.column_stack(cols)
+    if kind in (Geometry.TREE, Geometry.HYPERCUBE, Geometry.XOR):
+        # Bucket-i neighbor (column i-1) flips bit i (bit 1 = most significant)
+        # and keeps every other bit, so tree hops correct exactly one bit.
+        bits = (1 << np.arange(d - 1, -1, -1)).astype(np.int32)
+        targets = ids[:, None] ^ bits
+        if kind is Geometry.XOR:
+            # xor keeps bits 1..i-1, flips bit i, and draws the remaining
+            # d-i bits uniformly at random (no draw for the last bucket).
+            targets &= ~(bits - 1)
+            suffixes = np.zeros((d, n), dtype=np.int32)
+            for c, bit in enumerate(bits[:-1].tolist()):
+                suffixes[c] = rng.integers(0, bit, size=n, dtype=np.int64)
+            targets |= suffixes.T
         roles = tuple(f"bucket-{i}" for i in range(1, d + 1))
         return Overlay(spec, build_seed, targets, None, roles)
 
     if kind is Geometry.RING:
         # Finger i spans a clockwise offset drawn uniformly from
         # [2^(i-1), 2^i); finger 1 is always the immediate successor.
-        offset_cols = []
-        target_cols = []
+        spans = np.empty((d, n), dtype=np.int32)
         for i in range(1, d + 1):
             low = 1 << (i - 1)
-            off = rng.integers(low, 2 * low, size=n, dtype=np.int64)
-            offset_cols.append(off.astype(np.int32))
-            target_cols.append(((ids + off) & (n - 1)).astype(np.int32))
-        targets = np.column_stack(target_cols)
-        offsets = np.column_stack(offset_cols)
+            spans[i - 1] = rng.integers(low, 2 * low, size=n, dtype=np.int64)
         roles = tuple(f"finger-{i}" for i in range(1, d + 1))
-        return Overlay(spec, build_seed, targets, offsets, roles)
-
-    if kind is Geometry.SYMPHONY:
+    elif kind is Geometry.SYMPHONY:
         # k_n immediate clockwise successors plus k_s shortcuts whose
         # length floor(N^u), u ~ U[0,1), follows the harmonic law.
-        offset_cols = [np.full(n, j, dtype=np.int32) for j in range(1, spec.k_n + 1)]
-        for _ in range(spec.k_s):
+        spans = np.empty((spec.k_n + spec.k_s, n), dtype=np.int32)
+        spans[: spec.k_n] = np.arange(1, spec.k_n + 1, dtype=np.int32)[:, None]
+        for row in range(spec.k_n, spec.k_n + spec.k_s):
             u = rng.random(n)
-            length = np.clip(np.floor(n**u).astype(np.int64), 1, n - 1)
-            offset_cols.append(length.astype(np.int32))
-        target_cols = [((ids + off) & (n - 1)).astype(np.int32) for off in offset_cols]
-        targets = np.column_stack(target_cols)
-        offsets = np.column_stack(offset_cols)
+            spans[row] = np.clip(np.floor(n**u).astype(np.int64), 1, n - 1)
         roles = tuple(f"near-{j}" for j in range(1, spec.k_n + 1)) + tuple(
             f"shortcut-{j}" for j in range(1, spec.k_s + 1)
         )
-        return Overlay(spec, build_seed, targets, offsets, roles)
-
-    raise ValueError(f"unknown geometry kind: {kind}")
+    else:
+        raise ValueError(f"unknown geometry kind: {kind}")
+    offsets = np.ascontiguousarray(spans.T)
+    del spans
+    # int32 cannot overflow: ids and spans are below 2^SIM_MAX_D, so every
+    # sum is below 2^21 before the wrap-around mask.
+    targets = ids[:, None] + offsets
+    targets &= n - 1
+    return Overlay(spec, build_seed, targets, offsets, roles)
 
 
 @dataclass(eq=False)
@@ -339,6 +332,8 @@ def estimate_routability(
         delivered, _, capped = _route_batch(
             overlay, pattern.alive, survivors[src_idx], survivors[dst_idx]
         )
+        # Release this trial's tables so only one overlay is alive at a time.
+        del overlay, pattern, survivors
         hop_cap_hits += int(np.count_nonzero(capped))
         fractions.append(int(np.count_nonzero(delivered)) / pairs_per_trial)
 

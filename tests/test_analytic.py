@@ -15,6 +15,7 @@ from dhtroutability.analytic import (
     ring_phase_failure,
     routability,
     suboptimal_hop_cap,
+    success_series,
     symphony_phase_failure,
     symphony_phase_failure_approx,
     tree_closed_form,
@@ -135,6 +136,22 @@ def test_hazards_are_probabilities(kind, d, q):
     assert np.all(hazards <= 1.0)
     if q == 0.0:
         assert np.all(hazards == 0.0)
+
+
+@pytest.mark.parametrize(
+    "kind", [Geometry.TREE, Geometry.HYPERCUBE, Geometry.XOR, Geometry.RING]
+)
+def test_one_hop_success_within_target_survival(kind):
+    # p(1, q) <= 1 - q: a one-hop route needs its target alive.  Symphony
+    # is left out because its constant hazard breaks this (see README).
+    for d in (1, 2, 4, 8, 12, 16, 20, 40, 100):
+        spec = GeometrySpec(kind, d)
+        for q in [round(0.05 * i, 2) for i in range(20)]:
+            assert success_series(spec, q, 1)[0] <= 1.0 - q, (d, q)
+            # Past 64 phases the series accumulates in the log domain,
+            # where exp(log1p(-q)) may round one ulp above 1 - q.
+            p1 = success_series(spec, q, d)[0]
+            assert p1 <= 1.0 - q + math.ulp(1.0 - q), (d, q, p1)
 
 
 def test_ring_hazard_below_xor_hazard():

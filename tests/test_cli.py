@@ -166,6 +166,14 @@ def test_config_bounds_pairs_and_q_grid():
         _config("analytic", q_step=float("nan"))
 
 
+def test_config_bounds_d():
+    assert _config("asymptotic", d_values=(10, 1000)).d_values == (10, 1000)
+    for command in ("analytic", "asymptotic", "scalability"):
+        with pytest.raises(UsageError, match="d values"):
+            _config(command, d_values=(1001,))
+        assert main([command, "--d", "1000000000"]) == 1
+
+
 def test_metadata_echoes_config():
     config = _config("analytic", seed=42)
     meta = config.metadata()

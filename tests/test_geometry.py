@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from dhtroutability.geometry import (
     ALL_GEOMETRIES,
     EXACT_PROFILE_MAX_D,
+    MAX_D,
     Geometry,
     GeometrySpec,
     distance_profile,
@@ -70,6 +71,15 @@ def test_spec_validation():
     spec = GeometrySpec("ring", 6)
     assert spec.kind is Geometry.RING
     assert spec.n_nodes == 64
+
+
+def test_spec_bounds_d():
+    assert MAX_D == 1000
+    assert GeometrySpec(Geometry.XOR, MAX_D).d == MAX_D
+    # A d whose profile would take hours is rejected before any math.comb.
+    for d in (MAX_D + 1, 10**9):
+        with pytest.raises(ValueError, match=r"must be in \[1, 1000\]"):
+            GeometrySpec(Geometry.XOR, d)
 
 
 def test_non_symphony_ignores_link_counts():
