@@ -11,12 +11,9 @@ __version__ = "0.1.0"
 
 from .analytic import (
     DenominatorMode,
-    PhaseFailureModel,
     RoutabilityResult,
     expected_reach,
     hazard_series,
-    path_success,
-    phase_failure,
     routability,
     tree_closed_form,
 )
@@ -27,7 +24,7 @@ from .geometry import (
     GeometrySpec,
     distance_profile,
 )
-from .scalability import ScalabilityVerdict, Verdict, asymptotic_curve, classify
+from .scalability import ScalabilityVerdict, Verdict, classify
 from .simulator import (
     FailurePattern,
     Overlay,
@@ -49,14 +46,12 @@ __all__ = [
     "Geometry",
     "GeometrySpec",
     "Overlay",
-    "PhaseFailureModel",
     "RoutabilityResult",
     "RouteResult",
     "ScalabilityVerdict",
     "SimOutcome",
     "SimSeeds",
     "Verdict",
-    "asymptotic_curve",
     "build_overlay",
     "classify",
     "distance_profile",
@@ -64,8 +59,6 @@ __all__ = [
     "estimate_routability",
     "expected_reach",
     "hazard_series",
-    "path_success",
-    "phase_failure",
     "routability",
     "route",
     "tree_closed_form",

@@ -26,6 +26,12 @@ and routability divides E[S] by one of two survivor-count conventions
 (see DenominatorMode).  For d > 20 all sums run on normalized weights
 n(h)/2^d and products accumulate in the log domain, which keeps d = 100
 evaluations stable.
+
+hazard_series is the one definition of Q(m) for every geometry, and
+cumulative_success the one place the product is formed; success_series
+and the scalability classifier both go through them.  The closed-form
+approximations of the xor and symphony hazards live in the tests that
+compare them against these exact sums.
 """
 
 from __future__ import annotations
@@ -82,42 +88,6 @@ def suboptimal_hop_cap(d: int, q: float) -> int:
     return math.ceil(Fraction(d) / (1 - Fraction(repr(float(q)))))
 
 
-def tree_phase_failure(q: float, m: int) -> float:
-    return q
-
-
-def hypercube_phase_failure(q: float, m: int) -> float:
-    return q**m
-
-
-def xor_phase_failure(q: float, m: int) -> float:
-    """Exact per-phase failure for XOR routing with m unresolved bits.
-
-    Recurrence form of q^m + sum_{k=1..m-1} q^m prod_{j=m-k..m-1}(1-q^j):
-    each k-term is one more wasted lower-bit correction before all
-    remaining useful neighbors are found dead.
-    """
-    extra = 0.0
-    q_pow = 1.0  # q^(k-1) while entering iteration k
-    for k in range(2, m + 1):
-        q_pow *= q
-        extra = (1.0 - q_pow) * (1.0 + extra)
-    return q**m * (1.0 + extra)
-
-
-def xor_phase_failure_approx(q: float, m: int) -> float:
-    """Closed-form approximation of the XOR per-phase failure.
-
-    Uses 1 - x ~ exp(-x) on the inner products; kept only for comparison
-    against the exact finite sum.
-    """
-    if q == 0.0:
-        return 0.0
-    return q**m * (
-        m + q / (1.0 - q) * (q ** (m - 1) * (m - 1) - (1.0 - q ** (m + 1)) / (1.0 - q))
-    )
-
-
 def _pow_of_power_of_two(base: float, log2_exponent: int) -> float:
     """base ** (2 ** log2_exponent) for 0 < base < 1, underflowing to 0."""
     if log2_exponent <= 60:
@@ -126,26 +96,6 @@ def _pow_of_power_of_two(base: float, log2_exponent: int) -> float:
         return math.exp(math.ldexp(1.0, log2_exponent) * math.log(base))
     # 2^1024 * log(base) is below exp underflow for any float base < 1.
     return 0.0
-
-
-def ring_phase_failure(q: float, m: int) -> float:
-    """Per-phase failure for ring routing with m distance scales left.
-
-    q^m * sum_{k=0..2^(m-1)-1} w^k with w = q*(1 - q^(m-1)): the walk may
-    waste up to 2^(m-1) progress-free hops, dying with q^m at each stop.
-    The huge inner exponent is evaluated as exp(2^(m-1) * ln w), with
-    underflow to zero accepted.
-    """
-    if m == 1:
-        return q
-    q_m = q**m
-    if q_m == 0.0:
-        return 0.0
-    w = q * (1.0 - q ** (m - 1))
-    if w == 0.0:
-        return q_m
-    tail = _pow_of_power_of_two(w, m - 1)
-    return q_m * (1.0 - tail) / (1.0 - w)
 
 
 def symphony_phase_failure(q: float, d: int, k_n: int, k_s: int) -> float:
@@ -169,24 +119,15 @@ def symphony_phase_failure(q: float, d: int, k_n: int, k_s: int) -> float:
     return dead_all * series
 
 
-def symphony_phase_failure_approx(q: float, d: int, k_n: int, k_s: int) -> float:
-    """Geometric closed form of the symphony per-phase failure.
-
-    Replaces the capped sum with exponent d/(1-q) + 1; kept only for
-    comparison against the exact finite sum.
-    """
-    if q == 0.0:
-        return 0.0
-    dead_all = q ** (k_n + k_s)
-    wander = 1.0 - k_s / d - dead_all
-    exponent = d / (1.0 - q) + 1.0
-    if wander <= 0.0:
-        return dead_all / (1.0 - wander)
-    return dead_all * (1.0 - wander**exponent) / (1.0 - wander)
-
-
 def hazard_series(spec: GeometrySpec, q: float, m_max: int) -> np.ndarray:
     """Q(1..m_max) for the geometry, as a float array.
+
+    xor runs the recurrence for q^m + sum_{k=1..m-1} q^m
+    prod_{j=m-k..m-1}(1-q^j): each k-term is one more wasted lower-bit
+    correction before all remaining useful neighbors are found dead.
+    ring sums q^m * w^k over the up to 2^(m-1) progress-free hops a phase
+    may waste, with the huge power w^(2^(m-1)) evaluated as
+    exp(2^(m-1) * ln w) and underflow to zero accepted.
 
     m_max may exceed spec.d: the per-phase formulas extend naturally to
     arbitrary horizons, with symphony holding d fixed inside Q.
@@ -234,60 +175,23 @@ def hazard_series(spec: GeometrySpec, q: float, m_max: int) -> np.ndarray:
     raise ValueError(f"unknown geometry kind: {kind}")
 
 
-@dataclass(frozen=True)
-class PhaseFailureModel:
-    """A geometry with a failure probability q, exposing Q(m)."""
+def cumulative_success(hazards: np.ndarray) -> np.ndarray:
+    """p(1..len(hazards)): cumulative products of (1 - Q(m)).
 
-    spec: GeometrySpec
-    q: float
-
-    def __post_init__(self) -> None:
-        _validate_q(self.q)
-
-    def failure_probability(self, m: int) -> float:
-        """Q(m); valid for 1 <= m <= spec.d."""
-        if not 1 <= m <= self.spec.d:
-            raise ValueError(f"phase index must be in [1, {self.spec.d}], got {m}")
-        kind = self.spec.kind
-        if kind is Geometry.TREE:
-            return tree_phase_failure(self.q, m)
-        if kind is Geometry.HYPERCUBE:
-            return hypercube_phase_failure(self.q, m)
-        if kind is Geometry.XOR:
-            return xor_phase_failure(self.q, m)
-        if kind is Geometry.RING:
-            return ring_phase_failure(self.q, m)
-        return symphony_phase_failure(self.q, self.spec.d, self.spec.k_n, self.spec.k_s)
-
-
-def phase_failure(model: PhaseFailureModel, m: int) -> float:
-    """Q(m) for the model's geometry; rejects m outside [1, d]."""
-    return model.failure_probability(m)
+    Accumulates in the log domain past 64 phases or when any surviving
+    factor drops below 1e-12.
+    """
+    if len(hazards) <= _DIRECT_PRODUCT_MAX_H:
+        factors = 1.0 - hazards
+        if factors.min() >= _DIRECT_PRODUCT_MIN_FACTOR:
+            return np.cumprod(factors)
+    with np.errstate(under="ignore"):
+        return np.exp(np.cumsum(np.log1p(-hazards)))
 
 
 def success_series(spec: GeometrySpec, q: float, h_max: int) -> np.ndarray:
-    """p(1..h_max): cumulative products of (1 - Q(m)).
-
-    Accumulates in the log domain when the horizon exceeds 64 phases or
-    any surviving factor drops below 1e-12.
-    """
-    hazards = hazard_series(spec, q, h_max)
-    factors = 1.0 - hazards
-    if h_max > _DIRECT_PRODUCT_MAX_H or factors.min() < _DIRECT_PRODUCT_MIN_FACTOR:
-        with np.errstate(under="ignore"):
-            return np.exp(np.cumsum(np.log1p(-hazards)))
-    return np.cumprod(factors)
-
-
-def path_success(model: PhaseFailureModel, h: int) -> float:
-    """p(h, q) = prod_{m=1..h} (1 - Q(m)).
-
-    h may exceed spec.d for asymptotic probes; symphony holds d fixed
-    inside its constant Q.
-    """
-    if h < 1:
-        raise ValueError(f"path length must be >= 1, got {h}")
-    return float(success_series(model.spec, model.q, h)[-1])
+    """p(1..h_max) for the geometry; h_max may exceed spec.d."""
+    return cumulative_success(hazard_series(spec, q, h_max))
 
 
 def expected_reach(spec: GeometrySpec, q: float) -> float:

@@ -25,7 +25,14 @@ from .analytic import DenominatorMode, routability
 from .geometry import ALL_GEOMETRIES, MAX_D, Geometry, GeometrySpec
 from .reporting import COLUMNS, render
 from .scalability import classify
-from .simulator import MAX_PAIRS_PER_TRIAL, SIM_MAX_D, SimSeeds, estimate_routability
+from .simulator import (
+    MAX_PAIRS_PER_TRIAL,
+    MAX_ROUTES,
+    MAX_TRIALS,
+    SIM_MAX_D,
+    SimSeeds,
+    estimate_routability,
+)
 
 COMMANDS = ("analytic", "simulate", "compare", "asymptotic", "scalability")
 
@@ -86,6 +93,10 @@ class ExperimentConfig:
             raise UsageError("trials and pairs must be >= 1")
         if self.pairs_per_trial > MAX_PAIRS_PER_TRIAL:
             raise UsageError(f"pairs must be <= {MAX_PAIRS_PER_TRIAL}")
+        if self.trials > MAX_TRIALS:
+            raise UsageError(f"trials must be <= {MAX_TRIALS}")
+        if self.trials * self.pairs_per_trial > MAX_ROUTES:
+            raise UsageError(f"trials x pairs must be <= {MAX_ROUTES}")
         if self.seed < 0:
             raise UsageError("seed must be non-negative")
         if self.k_n < 1 or self.k_s < 1:
@@ -144,55 +155,42 @@ class ExperimentConfig:
         return meta
 
 
-def _single_d(config: ExperimentConfig) -> int:
-    if len(config.d_values) != 1:
-        raise UsageError(f"command '{config.command}' takes exactly one d value")
-    return config.d_values[0]
+def _analytic_cells(config: ExperimentConfig, spec: GeometrySpec, q: float) -> dict:
+    res = routability(spec, q, config.denominator_mode)
+    return {
+        "analytic_routability": res.routability,
+        "analytic_failed_fraction": res.failed_fraction,
+    }
 
 
-def _seeds_cell(seeds: SimSeeds) -> str:
-    return f"{seeds.build}:{seeds.fail}:{seeds.pair}"
-
-
-def run_analytic(config: ExperimentConfig) -> list[dict]:
-    d = _single_d(config)
-    rows = []
-    for kind in config.geometries:
-        spec = config.spec_for(kind, d)
-        for q in config.q_grid():
-            row = {"geometry": kind.value, "d": d, "n_nodes": spec.n_nodes, "q": q}
-            try:
-                res = routability(spec, q, config.denominator_mode)
-                row["analytic_routability"] = res.routability
-                row["analytic_failed_fraction"] = res.failed_fraction
-            except ValueError as exc:
-                row["error"] = str(exc)
-            rows.append(row)
-    return rows
-
-
-def run_simulate(config: ExperimentConfig) -> list[dict]:
-    d = _single_d(config)
-    if d > SIM_MAX_D:
-        raise UsageError(f"simulation requires d <= {SIM_MAX_D}")
+def _sim_cells(config: ExperimentConfig, spec: GeometrySpec, q: float) -> dict:
     seeds = config.seeds()
-    rows = []
-    for kind in config.geometries:
-        spec = config.spec_for(kind, d)
-        for q in config.q_grid():
-            row = {"geometry": kind.value, "d": d, "n_nodes": spec.n_nodes, "q": q}
-            try:
-                sim = estimate_routability(
-                    spec, q, config.trials, config.pairs_per_trial, seeds
-                )
-                row["sim_routability"] = sim.routable_fraction
-                row["sim_std_error"] = sim.std_error
-                row["hop_cap_hits"] = sim.hop_cap_hits
-                row["seeds"] = _seeds_cell(seeds)
-            except ValueError as exc:
-                row["error"] = str(exc)
-            rows.append(row)
-    return rows
+    sim = estimate_routability(spec, q, config.trials, config.pairs_per_trial, seeds)
+    return {
+        "sim_routability": sim.routable_fraction,
+        "sim_std_error": sim.std_error,
+        "hop_cap_hits": sim.hop_cap_hits,
+        "seeds": f"{seeds.build}:{seeds.fail}:{seeds.pair}",
+    }
+
+
+def _verdict_cells(config: ExperimentConfig, spec: GeometrySpec, q: float) -> dict:
+    verdict = classify(spec, q)
+    cells = {"verdict": verdict.verdict.value, "limit_estimate": verdict.limit_estimate}
+    cells.update((f"sum_q_at_{h}", total) for h, total in verdict.partial_sums)
+    cells.update((f"p_at_{h}", product) for h, product in verdict.partial_products)
+    cells["decay_horizon"] = verdict.decay_horizon
+    return cells
+
+
+#: The stages that fill one row of each command, in order.
+_STAGES = {
+    "analytic": (_analytic_cells,),
+    "simulate": (_sim_cells,),
+    "compare": (_analytic_cells, _sim_cells),
+    "asymptotic": (_analytic_cells,),
+    "scalability": (_verdict_cells,),
+}
 
 
 def compare_tolerance_breach(
@@ -220,85 +218,39 @@ def compare_tolerance_breach(
     return None
 
 
-def run_compare(config: ExperimentConfig) -> tuple[list[dict], list[str]]:
-    d = _single_d(config)
-    if d > SIM_MAX_D:
-        raise UsageError(f"comparison requires d <= {SIM_MAX_D}")
-    seeds = config.seeds()
-    rows = []
-    breaches = []
-    for kind in config.geometries:
-        spec = config.spec_for(kind, d)
-        for q in config.q_grid():
-            row = {"geometry": kind.value, "d": d, "n_nodes": spec.n_nodes, "q": q}
-            try:
-                res = routability(spec, q, config.denominator_mode)
-                row["analytic_routability"] = res.routability
-                row["analytic_failed_fraction"] = res.failed_fraction
-            except ValueError as exc:
-                row["error"] = str(exc)
-                rows.append(row)
-                continue
-            try:
-                sim = estimate_routability(
-                    spec, q, config.trials, config.pairs_per_trial, seeds
-                )
-                row["sim_routability"] = sim.routable_fraction
-                row["sim_std_error"] = sim.std_error
-                row["seeds"] = _seeds_cell(seeds)
-                row["abs_gap"] = abs(res.routability - sim.routable_fraction)
-            except ValueError as exc:
-                row["error"] = str(exc)
-                rows.append(row)
-                continue
-            reason = compare_tolerance_breach(
-                kind, res.routability, sim.routable_fraction, sim.std_error
-            )
-            if reason is not None:
-                breaches.append(f"{kind.value} d={d} q={q:.10g}: {reason}")
-            rows.append(row)
-    return rows, breaches
+def run_grid(config: ExperimentConfig) -> tuple[list[dict], list[str]]:
+    """One row per (geometry, d, q), plus compare's tolerance breaches.
 
-
-def run_asymptotic(config: ExperimentConfig) -> list[dict]:
-    rows = []
+    Each row runs its command's stages in order; a stage's ValueError
+    goes into the row's error and ends that row, and the grid continues.
+    """
+    command = config.command
+    if command != "asymptotic" and len(config.d_values) != 1:
+        raise UsageError(f"command '{command}' takes exactly one d value")
+    if command in ("simulate", "compare") and config.d_values[0] > SIM_MAX_D:
+        noun = "simulation" if command == "simulate" else "comparison"
+        raise UsageError(f"{noun} requires d <= {SIM_MAX_D}")
+    rows: list[dict] = []
+    breaches: list[str] = []
     for kind in config.geometries:
         for d in config.d_values:
             spec = config.spec_for(kind, d)
             for q in config.q_grid():
                 row = {"geometry": kind.value, "d": d, "n_nodes": spec.n_nodes, "q": q}
+                rows.append(row)
                 try:
-                    res = routability(spec, q, config.denominator_mode)
-                    row["analytic_routability"] = res.routability
-                    row["analytic_failed_fraction"] = res.failed_fraction
+                    for stage in _STAGES[command]:
+                        row.update(stage(config, spec, q))
                 except ValueError as exc:
                     row["error"] = str(exc)
-                rows.append(row)
-    return rows
-
-
-def run_scalability(config: ExperimentConfig) -> list[dict]:
-    d = _single_d(config)
-    rows = []
-    for kind in config.geometries:
-        spec = config.spec_for(kind, d)
-        for q in config.q_grid():
-            row = {"geometry": kind.value, "d": d, "q": q}
-            try:
-                verdict = classify(spec, q)
-            except ValueError as exc:
-                row["error"] = str(exc)
-                rows.append(row)
-                continue
-            row["verdict"] = verdict.verdict.value
-            row["limit_estimate"] = verdict.limit_estimate
-            for horizon, total in verdict.partial_sums:
-                row[f"sum_q_at_{horizon}"] = total
-            for horizon, product in verdict.partial_products:
-                row[f"p_at_{horizon}"] = product
-            row["decay_horizon"] = verdict.decay_horizon
-            rows.append(row)
-    return rows
+                    continue
+                if command == "compare":
+                    analytic_r, sim_r = row["analytic_routability"], row["sim_routability"]
+                    row["abs_gap"] = abs(analytic_r - sim_r)
+                    reason = compare_tolerance_breach(kind, analytic_r, sim_r, row["sim_std_error"])
+                    if reason is not None:
+                        breaches.append(f"{kind.value} d={d} q={q:.10g}: {reason}")
+    return rows, breaches
 
 
 def _parse_geometries(text: str) -> tuple[Geometry, ...]:
@@ -434,17 +386,7 @@ def build_experiment_config(command: str, options: dict) -> ExperimentConfig:
 
 def run_experiment(config: ExperimentConfig) -> tuple[str, list[str]]:
     """Rendered report text plus any --check breach messages."""
-    breaches: list[str] = []
-    if config.command == "analytic":
-        rows = run_analytic(config)
-    elif config.command == "simulate":
-        rows = run_simulate(config)
-    elif config.command == "compare":
-        rows, breaches = run_compare(config)
-    elif config.command == "asymptotic":
-        rows = run_asymptotic(config)
-    else:
-        rows = run_scalability(config)
+    rows, breaches = run_grid(config)
     text = render(config.output_format, config.metadata(), COLUMNS[config.command], rows)
     return text, breaches
 

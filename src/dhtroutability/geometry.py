@@ -48,9 +48,6 @@ class Geometry(str, Enum):
 #: Geometries whose distance profile is binomial, n(h) = C(d, h).
 BINOMIAL_GEOMETRIES = frozenset({Geometry.TREE, Geometry.HYPERCUBE, Geometry.XOR})
 
-#: Geometries whose distance profile is geometric, n(h) = 2^(h-1).
-RING_GEOMETRIES = frozenset({Geometry.RING, Geometry.SYMPHONY})
-
 #: Canonical ordering used by reports and the CLI.
 ALL_GEOMETRIES = (
     Geometry.TREE,

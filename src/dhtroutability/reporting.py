@@ -12,17 +12,19 @@ from __future__ import annotations
 
 import json
 
+_ANALYTIC_COLUMNS = (
+    "geometry",
+    "d",
+    "n_nodes",
+    "q",
+    "analytic_routability",
+    "analytic_failed_fraction",
+    "error",
+)
+
 #: Fixed column set per command; order is part of the output contract.
 COLUMNS: dict[str, tuple[str, ...]] = {
-    "analytic": (
-        "geometry",
-        "d",
-        "n_nodes",
-        "q",
-        "analytic_routability",
-        "analytic_failed_fraction",
-        "error",
-    ),
+    "analytic": _ANALYTIC_COLUMNS,
     "simulate": (
         "geometry",
         "d",
@@ -47,15 +49,7 @@ COLUMNS: dict[str, tuple[str, ...]] = {
         "seeds",
         "error",
     ),
-    "asymptotic": (
-        "geometry",
-        "d",
-        "n_nodes",
-        "q",
-        "analytic_routability",
-        "analytic_failed_fraction",
-        "error",
-    ),
+    "asymptotic": _ANALYTIC_COLUMNS,
     "scalability": (
         "geometry",
         "d",
@@ -76,23 +70,8 @@ COLUMNS: dict[str, tuple[str, ...]] = {
 }
 
 
-def format_value(value) -> str:
-    """One CSV cell: empty for missing, 10 significant digits for reals."""
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return format(value, ".10g")
-    if isinstance(value, int):
-        return str(value)
-    text = str(value)
-    if any(c in text for c in (",", '"', "\n")):
-        text = '"' + text.replace('"', '""') + '"'
-    return text
-
-
-def _format_metadata(value) -> str:
+def _format_scalar(value) -> str:
+    """Empty for missing, true/false for booleans, 10 significant digits for reals."""
     if value is None:
         return ""
     if isinstance(value, bool):
@@ -102,8 +81,15 @@ def _format_metadata(value) -> str:
     return str(value)
 
 
+def format_value(value) -> str:
+    """One CSV cell: the scalar, or a text quoted when it holds a comma, quote or newline."""
+    if isinstance(value, str) and ("," in value or '"' in value or "\n" in value):
+        return '"' + value.replace('"', '""') + '"'
+    return _format_scalar(value)
+
+
 def render_csv(metadata: dict, columns: tuple[str, ...], rows: list[dict]) -> str:
-    lines = [f"# {key}={_format_metadata(value)}" for key, value in metadata.items()]
+    lines = [f"# {key}={_format_scalar(value)}" for key, value in metadata.items()]
     lines.append(",".join(columns))
     for row in rows:
         lines.append(",".join(format_value(row.get(col)) for col in columns))

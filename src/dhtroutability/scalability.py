@@ -22,12 +22,12 @@ k_s/d, so the probe holds the configured d fixed while h grows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .analytic import DenominatorMode, RoutabilityResult, hazard_series, routability
+from .analytic import cumulative_success, hazard_series
 from .geometry import Geometry, GeometrySpec
 
 #: Decade horizons at which evidence is sampled.
@@ -83,9 +83,7 @@ def classify(spec: GeometrySpec, q: float) -> ScalabilityVerdict:
     horizon = EVIDENCE_HORIZONS[-1]
     hazards = hazard_series(spec, q, horizon)
     sums = np.cumsum(hazards)
-    with np.errstate(under="ignore"):
-        log_products = np.cumsum(np.log1p(-hazards))
-        products = np.exp(log_products)
+    products = cumulative_success(hazards)
     partial_sums = tuple((m, float(sums[m - 1])) for m in EVIDENCE_HORIZONS)
     partial_products = tuple((h, float(products[h - 1])) for h in EVIDENCE_HORIZONS)
 
@@ -115,17 +113,3 @@ def classify(spec: GeometrySpec, q: float) -> ScalabilityVerdict:
         decay_horizon=None,
     )
 
-
-def asymptotic_curve(
-    spec: GeometrySpec,
-    d: int,
-    q_grid: list[float] | tuple[float, ...],
-    mode: DenominatorMode = DenominatorMode.PN_MINUS_ONE,
-) -> list[RoutabilityResult]:
-    """Routability across a q grid with the geometry's identifier length set to d.
-
-    Supports d up to 100 through the normalized log-domain pipeline;
-    errors from routability (degenerate denominators) propagate.
-    """
-    sized = replace(spec, d=d)
-    return [routability(sized, q, mode) for q in q_grid]

@@ -45,6 +45,12 @@ HOP_CAP_FACTOR = 4
 #: Routing allocates pairs x links arrays per trial, so pairs are bounded.
 MAX_PAIRS_PER_TRIAL = 1_000_000
 
+#: Trials run one after another and each keeps its delivered fraction.
+MAX_TRIALS = 10_000
+
+#: Routes one estimate may run, trials x pairs_per_trial.
+MAX_ROUTES = 100_000_000
+
 FAILED_DEAD_END = "dead_end"
 FAILED_HOP_CAP = "hop_cap"
 
@@ -304,6 +310,10 @@ def estimate_routability(
         raise ValueError("trials and pairs_per_trial must be >= 1")
     if pairs_per_trial > MAX_PAIRS_PER_TRIAL:
         raise ValueError(f"pairs_per_trial must be <= {MAX_PAIRS_PER_TRIAL}")
+    if trials > MAX_TRIALS:
+        raise ValueError(f"trials must be <= {MAX_TRIALS}")
+    if trials * pairs_per_trial > MAX_ROUTES:
+        raise ValueError(f"trials * pairs_per_trial must be <= {MAX_ROUTES}")
     fractions = []
     hop_cap_hits = 0
     redrawn = 0

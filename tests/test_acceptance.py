@@ -35,9 +35,8 @@ import time
 
 from dhtroutability.analytic import (
     DenominatorMode,
-    PhaseFailureModel,
-    path_success,
     routability,
+    success_series,
     tree_closed_form,
 )
 from dhtroutability.cli import main
@@ -128,8 +127,8 @@ def test_criterion_03_hypercube_enumeration_oracle():
                     for failed, count in enumerate(hist)
                     if count
                 )
-                model = PhaseFailureModel(GeometrySpec(Geometry.HYPERCUBE, d), q)
-                analytic = path_success(model, h)
+                spec = GeometrySpec(Geometry.HYPERCUBE, d)
+                analytic = float(success_series(spec, q, h)[-1])
                 if abs(analytic - oracle) > 1e-10:
                     violations.append(
                         f"d={d} h={h} q={q}: analytic={analytic!r} oracle={oracle!r}"

@@ -7,28 +7,55 @@ from hypothesis import strategies as st
 
 from dhtroutability.analytic import (
     DenominatorMode,
-    PhaseFailureModel,
     expected_reach,
     hazard_series,
-    path_success,
-    phase_failure,
-    ring_phase_failure,
     routability,
     suboptimal_hop_cap,
     success_series,
     symphony_phase_failure,
-    symphony_phase_failure_approx,
     tree_closed_form,
-    xor_phase_failure,
-    xor_phase_failure_approx,
 )
 from dhtroutability.geometry import ALL_GEOMETRIES, Geometry, GeometrySpec
 
 Q_GRID = (0.0, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9)
 
 
-def _model(kind, d, q, **kw):
-    return PhaseFailureModel(GeometrySpec(kind, d, **kw), q)
+def _hazard(kind, q, m, d=None):
+    """Q(m) read from hazard_series over the spec's own d phases."""
+    d = m if d is None else d
+    return hazard_series(GeometrySpec(kind, d), q, d)[m - 1]
+
+
+def _path_success(kind, d, q, h):
+    """p(h, q) read from success_series."""
+    return float(success_series(GeometrySpec(kind, d), q, h)[-1])
+
+
+def xor_phase_failure_approx(q, m):
+    """Closed-form approximation of the XOR per-phase failure.
+
+    Uses 1 - x ~ exp(-x) on the inner products.
+    """
+    if q == 0.0:
+        return 0.0
+    return q**m * (
+        m + q / (1.0 - q) * (q ** (m - 1) * (m - 1) - (1.0 - q ** (m + 1)) / (1.0 - q))
+    )
+
+
+def symphony_phase_failure_approx(q, d, k_n, k_s):
+    """Geometric closed form of the symphony per-phase failure.
+
+    Replaces the capped sum with exponent d/(1-q) + 1.
+    """
+    if q == 0.0:
+        return 0.0
+    dead_all = q ** (k_n + k_s)
+    wander = 1.0 - k_s / d - dead_all
+    exponent = d / (1.0 - q) + 1.0
+    if wander <= 0.0:
+        return dead_all / (1.0 - wander)
+    return dead_all * (1.0 - wander**exponent) / (1.0 - wander)
 
 
 # --- phase failure -----------------------------------------------------------
@@ -36,40 +63,36 @@ def _model(kind, d, q, **kw):
 
 def test_xor_phase_failure_hand_value():
     # m=2 expands to q^2 + q^2*(1-q)
-    assert phase_failure(_model(Geometry.XOR, 4, 0.5), 2) == pytest.approx(0.375, abs=1e-15)
+    assert _hazard(Geometry.XOR, 0.5, 2, d=4) == pytest.approx(0.375, abs=1e-15)
 
 
 def test_ring_first_phase_is_q():
     for q in (0.1, 0.37, 0.9):
-        assert phase_failure(_model(Geometry.RING, 6, q), 1) == q
+        assert _hazard(Geometry.RING, q, 1, d=6) == q
 
 
 def test_symphony_zero_failure_probability():
     for m in (1, 3, 8):
-        assert phase_failure(_model(Geometry.SYMPHONY, 8, 0.0), m) == 0.0
+        assert _hazard(Geometry.SYMPHONY, 0.0, m, d=8) == 0.0
 
 
 def test_tree_and_hypercube_phase_failure():
-    tree = _model(Geometry.TREE, 8, 0.3)
-    hc = _model(Geometry.HYPERCUBE, 8, 0.3)
     for m in range(1, 9):
-        assert phase_failure(tree, m) == 0.3
-        assert phase_failure(hc, m) == pytest.approx(0.3**m, rel=1e-15)
+        assert _hazard(Geometry.TREE, 0.3, m, d=8) == 0.3
+        assert _hazard(Geometry.HYPERCUBE, 0.3, m, d=8) == pytest.approx(0.3**m, rel=1e-15)
 
 
 def test_phase_index_out_of_range():
-    model = _model(Geometry.RING, 5, 0.2)
-    with pytest.raises(ValueError):
-        phase_failure(model, 0)
-    with pytest.raises(ValueError):
-        phase_failure(model, 6)
+    spec = GeometrySpec(Geometry.RING, 5)
+    with pytest.raises(ValueError, match="horizon"):
+        hazard_series(spec, 0.2, 0)
 
 
 def test_q_domain_rejected():
     with pytest.raises(ValueError):
-        PhaseFailureModel(GeometrySpec(Geometry.TREE, 4), 1.0)
+        hazard_series(GeometrySpec(Geometry.TREE, 4), 1.0, 4)
     with pytest.raises(ValueError):
-        PhaseFailureModel(GeometrySpec(Geometry.TREE, 4), -0.1)
+        hazard_series(GeometrySpec(Geometry.TREE, 4), -0.1, 4)
 
 
 def test_xor_phase_failure_matches_direct_sum():
@@ -82,7 +105,7 @@ def test_xor_phase_failure_matches_direct_sum():
                 for j in range(m - k, m):
                     term *= 1.0 - q**j
                 direct += term
-            assert xor_phase_failure(q, m) == pytest.approx(direct, rel=1e-12)
+            assert _hazard(Geometry.XOR, q, m) == pytest.approx(direct, rel=1e-12)
 
 
 def test_ring_phase_failure_matches_direct_sum():
@@ -91,7 +114,7 @@ def test_ring_phase_failure_matches_direct_sum():
         for m in range(1, 8):
             w = q * (1.0 - q ** (m - 1))
             direct = sum(q**m * w**k for k in range(2 ** (m - 1)))
-            assert ring_phase_failure(q, m) == pytest.approx(direct, rel=1e-12)
+            assert _hazard(Geometry.RING, q, m) == pytest.approx(direct, rel=1e-12)
 
 
 def test_symphony_phase_failure_matches_direct_sum():
@@ -114,7 +137,7 @@ def test_suboptimal_hop_cap_exact_ceiling():
 def test_approximations_track_exact_values():
     for q in (0.05, 0.1, 0.2):
         for m in (2, 4, 8):
-            exact = xor_phase_failure(q, m)
+            exact = _hazard(Geometry.XOR, q, m)
             approx = xor_phase_failure_approx(q, m)
             assert approx == pytest.approx(exact, rel=0.05, abs=1e-12)
     for q in (0.05, 0.1, 0.3):
@@ -158,18 +181,18 @@ def test_ring_hazard_below_xor_hazard():
     # Non-strict at m=1 (both equal q), strict dominance afterwards.
     for q in (0.05, 0.2, 0.5, 0.9):
         for m in range(1, 40):
-            q_ring = ring_phase_failure(q, m)
-            q_xor = xor_phase_failure(q, m)
+            q_ring = _hazard(Geometry.RING, q, m)
+            q_xor = _hazard(Geometry.XOR, q, m)
             assert q_ring <= q_xor + 1e-15
-        assert ring_phase_failure(q, 1) == xor_phase_failure(q, 1)
+        assert _hazard(Geometry.RING, q, 1) == _hazard(Geometry.XOR, q, 1)
 
 
 def test_ring_path_success_dominates_xor():
     # Consequence of the hazard ordering at the product level.
     for q in (0.05, 0.2, 0.5, 0.9):
         for h in (1, 4, 8, 16):
-            p_ring = path_success(_model(Geometry.RING, 16, q), h)
-            p_xor = path_success(_model(Geometry.XOR, 16, q), h)
+            p_ring = _path_success(Geometry.RING, 16, q, h)
+            p_xor = _path_success(Geometry.XOR, 16, q, h)
             assert p_ring >= p_xor - 1e-15
 
 
@@ -180,25 +203,22 @@ def test_hypercube_path_success_product_form():
     # p(3, q) = (1-q^3)(1-q^2)(1-q)
     for q in (0.1, 0.5, 0.8):
         expected = (1 - q**3) * (1 - q**2) * (1 - q)
-        model = _model(Geometry.HYPERCUBE, 3, q)
-        assert path_success(model, 3) == pytest.approx(expected, rel=1e-14)
+        assert _path_success(Geometry.HYPERCUBE, 3, q, 3) == pytest.approx(expected, rel=1e-14)
 
 
 def test_path_success_no_failures():
     for kind in ALL_GEOMETRIES:
-        model = _model(kind, 10, 0.0)
         for h in (1, 5, 10):
-            assert path_success(model, h) == 1.0
+            assert _path_success(kind, 10, 0.0, h) == 1.0
 
 
 def test_tree_path_success_value():
-    assert path_success(_model(Geometry.TREE, 8, 0.1), 5) == pytest.approx(0.59049, rel=1e-12)
+    assert _path_success(Geometry.TREE, 8, 0.1, 5) == pytest.approx(0.59049, rel=1e-12)
 
 
 def test_path_success_monotone_in_h():
     for kind in ALL_GEOMETRIES:
-        model = _model(kind, 16, 0.3)
-        values = [path_success(model, h) for h in range(1, 17)]
+        values = [_path_success(kind, 16, 0.3, h) for h in range(1, 17)]
         assert all(a >= b for a, b in zip(values, values[1:]))
 
 
@@ -213,9 +233,8 @@ def test_path_success_monotone_in_h():
 )
 def test_path_success_monotone_in_q(kind, h, q_pair):
     q_low, q_high = sorted(q_pair)
-    spec = GeometrySpec(kind, 16)
-    p_low = path_success(PhaseFailureModel(spec, q_low), h)
-    p_high = path_success(PhaseFailureModel(spec, q_high), h)
+    p_low = _path_success(kind, 16, q_low, h)
+    p_high = _path_success(kind, 16, q_high, h)
     assert p_low >= p_high - 1e-12
 
 
@@ -225,7 +244,7 @@ def test_tree_is_worst_case_path_success():
         for q in (0.1, 0.3, 0.6, 0.9):
             for h in (1, 4, 10, 16):
                 tree_p = (1.0 - q) ** h
-                p = path_success(_model(kind, 16, q), h)
+                p = _path_success(kind, 16, q, h)
                 assert p >= tree_p - 1e-12
 
 
@@ -359,5 +378,4 @@ def test_hypercube_oracle_small_instance():
                 count * q**failed * (1 - q) ** (n - 1 - failed)
                 for failed, count in enumerate(hist)
             )
-            model = PhaseFailureModel(GeometrySpec(Geometry.HYPERCUBE, d), q)
-            assert path_success(model, h) == pytest.approx(oracle, abs=1e-12)
+            assert _path_success(Geometry.HYPERCUBE, d, q, h) == pytest.approx(oracle, abs=1e-12)

@@ -9,9 +9,7 @@ from dhtroutability.cli import (
     build_experiment_config,
     compare_tolerance_breach,
     main,
-    run_analytic,
-    run_compare,
-    run_scalability,
+    run_grid,
 )
 from dhtroutability.geometry import ALL_GEOMETRIES, Geometry
 
@@ -29,11 +27,11 @@ def _config(command, **kw):
     return ExperimentConfig(**base)
 
 
-# --- run functions -------------------------------------------------------------
+# --- the grid runner -----------------------------------------------------------
 
 
 def test_analytic_grid_shape_and_identity_rows():
-    rows = run_analytic(_config("analytic"))
+    rows, _ = run_grid(_config("analytic"))
     assert len(rows) == 5 * 11
     for row in rows:
         if row["q"] == 0.0:
@@ -42,7 +40,7 @@ def test_analytic_grid_shape_and_identity_rows():
 
 
 def test_analytic_tree_rows_match_closed_form():
-    rows = run_analytic(_config("analytic", geometries=(Geometry.TREE,)))
+    rows, _ = run_grid(_config("analytic", geometries=(Geometry.TREE,)))
     for row in rows:
         assert row["analytic_routability"] == pytest.approx(
             tree_closed_form(16, row["q"]), rel=1e-12
@@ -51,7 +49,7 @@ def test_analytic_tree_rows_match_closed_form():
 
 def test_analytic_error_rows_keep_going():
     config = _config("analytic", d_values=(1,), q_start=0.4, q_stop=0.6, q_step=0.1)
-    rows = run_analytic(config)
+    rows, _ = run_grid(config)
     assert len(rows) == 5 * 3
     # (1-q)*2 <= 1 from q = 0.5 on: per-row error, run continues.
     by_q = {(row["geometry"], row["q"]): row for row in rows}
@@ -62,7 +60,7 @@ def test_analytic_error_rows_keep_going():
 
 def test_scalability_rows_and_q_zero_rejected_per_row():
     config = _config("scalability", q_start=0.0, q_stop=0.1, q_step=0.05)
-    rows = run_scalability(config)
+    rows, _ = run_grid(config)
     verdicts = {
         (row["geometry"], row["q"]): row.get("verdict") for row in rows
     }
@@ -86,7 +84,7 @@ def test_compare_q_zero_gap_is_zero():
         trials=2,
         pairs_per_trial=100,
     )
-    rows, breaches = run_compare(config)
+    rows, breaches = run_grid(config)
     assert breaches == []
     for row in rows:
         assert row["abs_gap"] == 0.0
@@ -164,6 +162,13 @@ def test_config_bounds_pairs_and_q_grid():
             _config("analytic", q_stop=0.95, q_step=step)
     with pytest.raises(UsageError, match="q-step"):
         _config("analytic", q_step=float("nan"))
+    # Only constructed, never run: trials and trials x pairs are capped.
+    _config("simulate", trials=10_000, pairs_per_trial=10_000)
+    for trials in (10_001, 1_000_000_000):
+        with pytest.raises(UsageError, match="trials must be <= 10000"):
+            _config("simulate", trials=trials)
+    with pytest.raises(UsageError, match="trials x pairs"):
+        _config("simulate", trials=10_000, pairs_per_trial=10_001)
 
 
 def test_config_bounds_d():
@@ -251,6 +256,7 @@ def test_main_usage_errors():
     assert main(["simulate", "--d", "24"]) == 1  # simulator scale cap
     assert main(["compare", "--d", "10,12"]) == 1  # one d per comparison
     assert main(["simulate", "--pairs", "1000001"]) == 1
+    assert main(["simulate", "--trials", "1000000000"]) == 1
     assert main(["analytic", "--q-step", "1e-9"]) == 1
 
 

@@ -11,23 +11,49 @@ import pytest
 
 from dhtroutability.cli import main
 
+# (test id, argv, sha256 of stdout)
 GOLDEN = [
     (
+        "compare",
         "compare --geometry all --d 8 --trials 3 --pairs 500 --seed 5",
         "7197d2d8f137c031cb77c0b435319de74c2be5915ee0d3851ca1c70153b4d934",
     ),
     (
+        "simulate",
         "simulate --geometry all --d 16 --trials 1 --pairs 300 --q-start 0.2 --q-stop 0.2 --seed 5",
         "1008cfb2ec51a64c3025da92e30760e7bcc9da8b50433130ec4624053ad8e996",
     ),
     (
+        "analytic",
         "analytic --geometry all",
         "d3232770328cd11443aa81d89940305319790f713a0765ba91303aa232fc070a",
+    ),
+    (
+        "asymptotic",
+        "asymptotic --geometry all",
+        "e5dcb5bc696c8330ce55d663e79a22987a75953825cfd1a7411685c0bdccf8bb",
+    ),
+    (
+        "scalability",
+        "scalability",
+        "1f1461684d7d9785b84ca80272e3846ae9db20b2225939502e609c9db050d585",
+    ),
+    (
+        "compare-json",
+        "compare --geometry all --d 8 --trials 3 --pairs 500 --seed 5 --format json",
+        "1e3df344aee38f1e6bfabaa0032afd83a85a7816f20158737974a7a3cef00fd4",
+    ),
+    (
+        # d = 1 from q = 0.5 on: the analytic stage fails and the row stops
+        # there; at q = 0.4 the simulate stage runs.
+        "compare-error-rows",
+        "compare --geometry all --d 1 --trials 2 --pairs 50 --q-start 0.4 --q-stop 0.6 --q-step 0.1 --seed 5",
+        "48a2ea2e80f7ae22cc1848d8906ed6435db86d098a24bed65d109843a4ca3fd0",
     ),
 ]
 
 
-@pytest.mark.parametrize("argv, digest", GOLDEN, ids=[g[0].split()[0] for g in GOLDEN])
+@pytest.mark.parametrize("argv, digest", [g[1:] for g in GOLDEN], ids=[g[0] for g in GOLDEN])
 def test_golden_report(argv, digest, capsys):
     assert main(argv.split()) == 0
     report = capsys.readouterr().out

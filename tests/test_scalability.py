@@ -2,13 +2,12 @@ import math
 
 import pytest
 
-from dhtroutability.analytic import DenominatorMode
+from dhtroutability.analytic import DenominatorMode, routability
 from dhtroutability.geometry import ALL_GEOMETRIES, Geometry, GeometrySpec
 from dhtroutability.scalability import (
     EVIDENCE_HORIZONS,
     ScalabilityVerdict,
     Verdict,
-    asymptotic_curve,
     classify,
 )
 
@@ -107,24 +106,24 @@ def test_symphony_probe_holds_d_fixed():
 
 
 def test_asymptotic_curve_tree_step_shape():
-    results = asymptotic_curve(GeometrySpec(Geometry.TREE, 16), 100, [0.0, 0.15, 0.3, 0.5])
+    spec = GeometrySpec(Geometry.TREE, 100)
+    results = [routability(spec, q) for q in (0.0, 0.15, 0.3, 0.5)]
     assert results[0].routability == 1.0
     for res in results[1:]:
         assert res.failed_fraction >= 0.99
 
 
 def test_asymptotic_curve_xor_d100_close_to_d16():
-    spec = GeometrySpec(Geometry.XOR, 16)
     q_grid = [0.0, 0.1, 0.2, 0.3]
-    at_100 = asymptotic_curve(spec, 100, q_grid)
-    at_16 = asymptotic_curve(spec, 16, q_grid)
+    at_100 = [routability(GeometrySpec(Geometry.XOR, 100), q) for q in q_grid]
+    at_16 = [routability(GeometrySpec(Geometry.XOR, 16), q) for q in q_grid]
     for big, small in zip(at_100, at_16):
         assert abs(big.routability - small.routability) < 0.01
 
 
 def test_asymptotic_curve_propagates_errors():
     with pytest.raises(ValueError, match="degenerate"):
-        asymptotic_curve(GeometrySpec(Geometry.TREE, 16), 1, [0.5], DenominatorMode.PN_MINUS_ONE)
+        routability(GeometrySpec(Geometry.TREE, 1), 0.5, DenominatorMode.PN_MINUS_ONE)
 
 
 def test_verdict_is_frozen_record():

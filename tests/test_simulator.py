@@ -322,6 +322,19 @@ def test_estimate_validates_budget():
         estimate_routability(GeometrySpec(Geometry.TREE, 4), 0.1, 1, 0, SEEDS)
     with pytest.raises(ValueError, match="1000000"):
         estimate_routability(GeometrySpec(Geometry.TREE, 4), 0.1, 1, 1_000_001, SEEDS)
+    # Rejected before the first trial builds anything.
+    def no_build(spec, seed):
+        raise AssertionError("a trial ran")
+
+    for trials in (10_001, 1_000_000_000):
+        with pytest.raises(ValueError, match="trials must be <= 10000"):
+            estimate_routability(
+                GeometrySpec(Geometry.TREE, 4), 0.1, trials, 1, SEEDS, builder=no_build
+            )
+    with pytest.raises(ValueError, match="100000000"):
+        estimate_routability(
+            GeometrySpec(Geometry.TREE, 4), 0.1, 10_000, 10_001, SEEDS, builder=no_build
+        )
 
 
 def test_hop_cap_is_reported_and_counted(monkeypatch):
