@@ -123,7 +123,10 @@ class ExperimentConfig:
         return SimSeeds(build=self.seed, fail=self.seed + 1, pair=self.seed + 2)
 
     def spec_for(self, kind: Geometry, d: int) -> GeometrySpec:
-        return GeometrySpec(kind=kind, d=d, k_n=self.k_n, k_s=self.k_s)
+        try:
+            return GeometrySpec(kind=kind, d=d, k_n=self.k_n, k_s=self.k_s)
+        except ValueError as exc:  # symphony's k_s > d
+            raise UsageError(str(exc)) from None
 
     def metadata(self) -> dict:
         seeds = self.seeds()

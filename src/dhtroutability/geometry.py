@@ -23,6 +23,7 @@ n(h) / 2^d so downstream sums stay in floating range up to d = 100.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -106,11 +107,14 @@ class DistanceProfile:
         return math.fsum(self.values) if self.normalized else sum(self.values)
 
 
+@functools.lru_cache(maxsize=256)
 def distance_profile(spec: GeometrySpec) -> DistanceProfile:
     """Distance distribution n(h) for the given geometry.
 
     Exact integer counts for d <= 20; normalized weights n(h)/2^d above
-    that so that d up to 100 stays representable.
+    that so that d up to 100 stays representable.  Memoised: both
+    argument and result are frozen, and sweeps ask for the same few
+    profiles at every q.
     """
     d = spec.d
     normalized = d > EXACT_PROFILE_MAX_D

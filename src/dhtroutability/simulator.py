@@ -17,6 +17,18 @@ For ring and symphony, strictly decreasing clockwise distance is the same
 as taking the longest alive link that does not overshoot the target.
 Every hop strictly decreases the metric, so routes are loop-free; a
 defensive hop cap of 4N aborts a route anyway and is counted separately.
+
+Two routers apply the rule to whole pair arrays in lockstep and give
+the same results.  The metric path (_route_batch) scores every link of
+every active pair.  The mask path (_route_mask; tree, hypercube, xor and
+ring) packs one integer per node whose bit b is set when the link that
+flips bit b, or finger b + 1, is alive, and then takes a highest set bit
+per hop.  Packing costs N x links per trial, so estimate_routability
+takes the mask path only while N is at most MASK_NODES_PER_PAIR times
+the pairs per trial (3 for tree, 8 for ring, 12 for hypercube and xor,
+each below its measured break-even); route(), symphony and larger N
+take the metric path.
+
 Randomized construction choices (XOR bucket suffixes, ring finger
 offsets, symphony shortcut lengths) derive deterministically from a
 64-bit build seed, and failure patterns and pair sampling from their own
@@ -51,6 +63,17 @@ MAX_TRIALS = 10_000
 #: Routes one estimate may run, trials x pairs_per_trial.
 MAX_ROUTES = 100_000_000
 
+#: estimate_routability routes on _route_mask while N <= factor x pairs
+#: per trial.  Measured break-even at d = 12..18, q = 0 and 0.3: N/pairs
+#: ~4 (tree), ~12 (ring), above 16 (hypercube, xor); the factors sit below
+#: it.  symphony has no mask rule.
+MASK_NODES_PER_PAIR = {
+    Geometry.TREE: 3,
+    Geometry.HYPERCUBE: 12,
+    Geometry.XOR: 12,
+    Geometry.RING: 8,
+}
+
 FAILED_DEAD_END = "dead_end"
 FAILED_HOP_CAP = "hop_cap"
 
@@ -61,12 +84,6 @@ class SimSeeds(NamedTuple):
     build: int
     fail: int
     pair: int
-
-
-class Neighbor(NamedTuple):
-    role: str
-    target: int
-    offset: int | None
 
 
 @dataclass(eq=False)
@@ -87,15 +104,6 @@ class Overlay:
     @property
     def n_nodes(self) -> int:
         return self.spec.n_nodes
-
-    def neighbors(self, node: int) -> list[Neighbor]:
-        """Role-tagged links of one node."""
-        row = self.targets[node]
-        offs = self.offsets[node] if self.offsets is not None else None
-        return [
-            Neighbor(role, int(row[c]), int(offs[c]) if offs is not None else None)
-            for c, role in enumerate(self.roles)
-        ]
 
 
 def build_overlay(spec: GeometrySpec, build_seed: int) -> Overlay:
@@ -245,6 +253,65 @@ def _route_batch(overlay: Overlay, alive: np.ndarray, src, dst):
     return cur == dst, hops, capped
 
 
+def _bit_length(x: np.ndarray) -> np.ndarray:
+    """Exact int.bit_length per entry (0 for 0): frexp's exponent, since
+    every value is below 2^53."""
+    return np.frexp(x)[1]
+
+
+def _route_mask(overlay: Overlay, alive: np.ndarray, src, dst):
+    """_route_batch for tree, hypercube, xor and ring, one bit operation
+    per hop instead of a pairs x links metric.
+
+    First packs one integer per node: bit b is set when the link that
+    flips bit b (tree, hypercube, xor) or finger b + 1 (ring) is alive.
+    The greedy choice then reads off a highest set bit:
+      tree, hypercube, xor  the highest alive bit of node ^ dst; tree only
+                            looks at the leftmost one
+      ring                  finger L when it is alive and does not
+                            overshoot, L being the bit length of the
+                            clockwise distance, else the highest alive
+                            finger below L (those never overshoot)
+    Packing costs N x links, so it pays only when N is small next to the
+    pairs routed.  Same (delivered, hops, capped) as _route_batch.
+    """
+    d, n = overlay.spec.d, overlay.n_nodes
+    ring = overlay.offsets is not None
+    tree = overlay.spec.kind is Geometry.TREE
+    # Column c is finger c + 1 on the ring, and flips bit d - 1 - c otherwise.
+    column_bit = np.arange(d) if ring else np.arange(d - 1, -1, -1)
+    mask = np.take(alive, overlay.targets) @ (1 << column_bit)
+    # intp node ids index without a conversion copy on every gather.
+    cur = np.array(src, dtype=np.intp)
+    dst = np.asarray(dst, dtype=np.intp)
+    hops = np.zeros(cur.shape, dtype=np.int64)
+    active = np.flatnonzero(cur != dst)
+    steps = 0
+    while active.size and steps < HOP_CAP_FACTOR * n:
+        steps += 1
+        node, goal = cur[active], dst[active]
+        links = mask[node]
+        if ring:
+            here = (goal - node) & (n - 1)
+            top = _bit_length(here) - 1
+            take_top = (links >> top) & 1 & (overlay.offsets[node, top] <= here)
+            bit = np.where(take_top, top, _bit_length(links & ((1 << top) - 1)) - 1)
+        else:
+            here = node ^ goal
+            if tree:
+                here = 1 << (_bit_length(here) - 1)
+            bit = _bit_length(links & here) - 1
+        moved = bit >= 0
+        active = active[moved]
+        column = bit[moved] if ring else d - 1 - bit[moved]
+        cur[active] = overlay.targets[node[moved], column]
+        hops[active] += 1
+        active = active[cur[active] != dst[active]]
+    capped = np.zeros(cur.shape, dtype=bool)
+    capped[active] = True
+    return cur == dst, hops, capped
+
+
 def route(overlay: Overlay, pattern: FailurePattern, src: int, dst: int) -> RouteResult:
     """Greedy no-back-tracking route from src to dst over alive neighbors.
 
@@ -314,6 +381,8 @@ def estimate_routability(
         raise ValueError(f"trials must be <= {MAX_TRIALS}")
     if trials * pairs_per_trial > MAX_ROUTES:
         raise ValueError(f"trials * pairs_per_trial must be <= {MAX_ROUTES}")
+    per_pair = MASK_NODES_PER_PAIR.get(spec.kind, 0)
+    router = _route_mask if spec.n_nodes <= per_pair * pairs_per_trial else _route_batch
     fractions = []
     hop_cap_hits = 0
     redrawn = 0
@@ -339,7 +408,7 @@ def estimate_routability(
         while collision.any():
             dst_idx[collision] = pair_rng.integers(0, n_alive, size=int(collision.sum()))
             collision = src_idx == dst_idx
-        delivered, _, capped = _route_batch(
+        delivered, _, capped = router(
             overlay, pattern.alive, survivors[src_idx], survivors[dst_idx]
         )
         # Release this trial's tables so only one overlay is alive at a time.

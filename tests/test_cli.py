@@ -249,7 +249,9 @@ def test_main_json_format(capsys):
     assert payload["rows"][0]["error"] is None
 
 
-def test_main_usage_errors():
+def test_main_usage_errors(capsys):
+    assert main(["analytic", "--geometry", "symphony", "--d", "2", "--ks", "3"]) == 1
+    assert capsys.readouterr().err == "dht-routability: error: symphony requires k_s <= d\n"
     assert main([]) == 1
     assert main(["analytic", "--geometry", "klein-bottle"]) == 1
     assert main(["analytic", "--d", "16", "--q-stop", "0.99"]) == 1

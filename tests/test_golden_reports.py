@@ -50,6 +50,13 @@ GOLDEN = [
         "compare --geometry all --d 1 --trials 2 --pairs 50 --q-start 0.4 --q-stop 0.6 --q-step 0.1 --seed 5",
         "48a2ea2e80f7ae22cc1848d8906ed6435db86d098a24bed65d109843a4ca3fd0",
     ),
+    (
+        # The benchmark's sim-d12-sweep grid at 2 trials: tree, hypercube,
+        # xor and ring route on the mask path, symphony on the metric path.
+        "compare-d12",
+        "compare --geometry all --d 12 --trials 2 --seed 1",
+        "c8a6bd1347598c430f31c0f1730c46c181db950f61dcea6b5f622f44e4bcc3f3",
+    ),
 ]
 
 

@@ -1,33 +1,43 @@
-"""Differential test: the batched greedy router against a scalar reference.
+"""Differential test: the batched greedy routers against a scalar reference.
 
 reference_route follows the README's per-geometry rules one node at a
 time and reads only an overlay's public targets/offsets arrays and an
-aliveness mask.  Both route() and the batched path must agree with it on
+aliveness mask.  route(), the metric path (_route_batch) and the mask
+path (_route_mask, tree/hypercube/xor/ring) must agree with it on
 (delivered, hops, reason) for every pair tried.
 """
+
+import math
 
 import numpy as np
 import pytest
 
+from dhtroutability import simulator
 from dhtroutability.geometry import ALL_GEOMETRIES, Geometry, GeometrySpec
 from dhtroutability.simulator import (
+    MASK_NODES_PER_PAIR,
     FailurePattern,
     Overlay,
+    SimSeeds,
     _route_batch,
+    _route_mask,
     build_overlay,
     draw_failure_pattern,
+    estimate_routability,
     route,
 )
 
+MASK_GEOMETRIES = (Geometry.TREE, Geometry.HYPERCUBE, Geometry.XOR, Geometry.RING)
 
-def reference_route(kind, targets, offsets, alive, src, dst):
+
+def reference_route(kind, targets, offsets, alive, src, dst, hop_cap):
     """README rules: tree corrects the leftmost differing bit, hypercube and
     xor step to the alive link nearest dst in XOR distance, ring and
     symphony take the longest alive link that does not overshoot dst."""
     n = len(alive)
     cur, hops = src, 0
     while cur != dst:
-        if hops >= 4 * n:
+        if hops >= hop_cap:
             return False, hops, "hop_cap"
         links = targets[cur].tolist()
         if offsets is not None:
@@ -47,11 +57,14 @@ def reference_route(kind, targets, offsets, alive, src, dst):
     return True, hops, None
 
 
-def _assert_agree(overlay, alive, src, dst, route_checks):
-    delivered, hops, capped = _route_batch(overlay, alive, src, dst)
+def _assert_agree(overlay, alive, src, dst, route_checks, router=_route_batch):
+    delivered, hops, capped = router(overlay, alive, src, dst)
     pattern = FailurePattern(alive=alive, q=0.0, fail_seed=0)
+    hop_cap = simulator.HOP_CAP_FACTOR * len(alive)
     for i, (s, t) in enumerate(zip(src.tolist(), dst.tolist())):
-        want = reference_route(overlay.spec.kind, overlay.targets, overlay.offsets, alive, s, t)
+        want = reference_route(
+            overlay.spec.kind, overlay.targets, overlay.offsets, alive, s, t, hop_cap
+        )
         reason = None if delivered[i] else ("hop_cap" if capped[i] else "dead_end")
         assert (bool(delivered[i]), int(hops[i]), reason) == want, (s, t)
         if i < route_checks:
@@ -113,4 +126,75 @@ def test_xor_detour_overlay_matches_reference():
     alive[0b111] = False
     src, dst = _pairs(8, np.random.default_rng(0), limit=64)
     _assert_agree(overlay, alive, src, dst, route_checks=64)
-    assert reference_route(Geometry.XOR, targets, None, alive, 0b010, 0b101) == (True, 4, None)
+    want = reference_route(Geometry.XOR, targets, None, alive, 0b010, 0b101, 4 * 8)
+    assert want == (True, 4, None)
+    _assert_agree(overlay, alive, src, dst, route_checks=0, router=_route_mask)
+
+
+@pytest.mark.parametrize("kind", MASK_GEOMETRIES)
+@pytest.mark.parametrize("d", [1, 2, 3, 7, 12])
+@pytest.mark.parametrize("q", [0.0, 0.05, 0.2, 0.5, 0.8])
+def test_mask_router_matches_reference(kind, d, q):
+    rng = np.random.default_rng([d, int(q * 100), 7])
+    overlay = build_overlay(GeometrySpec(kind, d), int(rng.integers(2**32)))
+    alive = draw_failure_pattern(1 << d, q, int(rng.integers(2**32))).alive
+    # Dead endpoints included, as for the metric path.
+    src, dst = _pairs(1 << d, rng, limit=600)
+    _assert_agree(overlay, alive, src, dst, route_checks=0, router=_route_mask)
+
+
+def test_mask_router_ring_top_finger_overshoots():
+    # Every finger sits at the top of its range, so the top-phase finger
+    # overshoots whenever the distance is below it: 0 -> 5 must skip
+    # finger 3 (offset 7) and finger 2 at node 3 (offset 3 > 2).
+    d = 3
+    n = 1 << d
+    offsets = np.tile(np.array([1, 3, 7], dtype=np.int32), (n, 1))
+    targets = ((np.arange(n)[:, None] + offsets) % n).astype(np.int32)
+    spec = GeometrySpec(Geometry.RING, d)
+    overlay = Overlay(spec, 0, targets, offsets, ("finger-1", "finger-2", "finger-3"))
+    alive = np.ones(n, dtype=bool)
+    assert reference_route(Geometry.RING, targets, offsets, alive, 0, 5, 4 * n) == (True, 3, None)
+    rng = np.random.default_rng(11)
+    for q in (0.0, 0.3, 0.6):
+        alive = rng.random(n) >= q
+        src, dst = _pairs(n, rng, limit=n * n)
+        _assert_agree(overlay, alive, src, dst, route_checks=0, router=_route_mask)
+
+
+@pytest.mark.parametrize("kind", MASK_GEOMETRIES)
+def test_mask_router_hop_cap_matches_reference(kind, monkeypatch):
+    # A cap of 3/64 * N = 3 hops at d = 6 binds on longer routes.
+    monkeypatch.setattr(simulator, "HOP_CAP_FACTOR", 3 / 64)
+    d = 6
+    rng = np.random.default_rng(5)
+    overlay = build_overlay(GeometrySpec(kind, d), 17)
+    for q in (0.0, 0.2):
+        alive = draw_failure_pattern(1 << d, q, 23).alive
+        src, dst = _pairs(1 << d, rng, limit=1000)
+        _, _, capped = _route_mask(overlay, alive, src, dst)
+        assert capped.any()
+        _assert_agree(overlay, alive, src, dst, route_checks=0, router=_route_mask)
+
+
+@pytest.mark.parametrize("kind", ALL_GEOMETRIES)
+def test_estimate_picks_router_by_crossover(kind, monkeypatch):
+    # The mask path runs while N <= factor x pairs per trial; symphony
+    # always takes the metric path.
+    calls = []
+    for name in ("_route_mask", "_route_batch"):
+        original = getattr(simulator, name)
+        monkeypatch.setattr(
+            simulator, name, lambda *args, _f=original, _n=name: calls.append(_n) or _f(*args)
+        )
+    spec = GeometrySpec(kind, 6)
+    seeds = SimSeeds(build=1, fail=2, pair=3)
+    factor = MASK_NODES_PER_PAIR.get(kind)
+    if factor is None:
+        estimate_routability(spec, 0.1, 1, spec.n_nodes, seeds)
+        assert calls == ["_route_batch"]
+        return
+    fewest = math.ceil(spec.n_nodes / factor)
+    estimate_routability(spec, 0.1, 1, fewest, seeds)
+    estimate_routability(spec, 0.1, 1, fewest - 1, seeds)
+    assert calls == ["_route_mask", "_route_batch"]
