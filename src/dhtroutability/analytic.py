@@ -32,6 +32,15 @@ cumulative_success the one place the product is formed; success_series
 and the scalability classifier both go through them.  The closed-form
 approximations of the xor and symphony hazards live in the tests that
 compare them against these exact sums.
+
+Long series (the classifier's 10,000 phases) are evaluated as a short
+scalar head and a numpy tail that is bit-for-bit the same as running the
+scalar recurrence to the end.  The tail only re-runs the loop's own
+sequence of roundings: np.cumsum and np.cumprod accumulate left to right
+like the loop, and elementwise +, * and / round like Python floats.
+np.sum (pairwise), closed forms such as xor's P(m) * sum 1/P(k) - 1, and
+np.power in place of a scalar ** or math.exp would each round
+differently, so none of them is used on a term the loop computes.
 """
 
 from __future__ import annotations
@@ -54,6 +63,11 @@ from .geometry import (
 # any surviving factor drops below this threshold.
 _DIRECT_PRODUCT_MAX_H = 64
 _DIRECT_PRODUCT_MIN_FACTOR = 1e-12
+
+# The xor and ring loops hand the rest of a series to numpy once it has
+# become an exact running sum or product, if at least this many phases
+# remain; a shorter tail costs less in the loop.
+_MIN_VECTOR_TAIL = 64
 
 
 class DenominatorMode(str, Enum):
@@ -131,6 +145,15 @@ def hazard_series(spec: GeometrySpec, q: float, m_max: int) -> np.ndarray:
 
     m_max may exceed spec.d: the per-phase formulas extend naturally to
     arbitrary horizons, with symphony holding d fixed inside Q.
+
+    Head and tail: once 1 - q^(m-1) rounds to 1 it stays 1, and from
+    there xor's recurrence is extra = 1 + extra, a running sum (np.cumsum
+    of ones), while ring's w equals q and its huge power is 0, so its Q
+    is q^m / (1 - q).  q^m continues as np.cumprod seeded with the loop's
+    own q^m.  The loop hands over there when at least _MIN_VECTOR_TAIL
+    phases remain (~55 steps at q = 0.5, ~730 at q = 0.95).  hypercube's
+    q^m is computed only while m * log2(1/q) <= 1076; past that it lies
+    below half the smallest subnormal and is 0.
     """
     _validate_q(q)
     if m_max < 1:
@@ -139,13 +162,16 @@ def hazard_series(spec: GeometrySpec, q: float, m_max: int) -> np.ndarray:
     if kind is Geometry.TREE:
         return np.full(m_max, q, dtype=float)
     if kind is Geometry.HYPERCUBE:
+        nonzero = 0 if q == 0.0 else min(m_max, math.floor(1076.0 / -math.log2(q)))
         with np.errstate(under="ignore"):
-            return q ** np.arange(1, m_max + 1, dtype=float)
+            head = q ** np.arange(1, nonzero + 1, dtype=float)
+        return _extend(head, m_max, 0.0)
     if kind is Geometry.SYMPHONY:
         const = symphony_phase_failure(q, spec.d, spec.k_n, spec.k_s)
         return np.full(m_max, const, dtype=float)
     out = np.empty(m_max, dtype=float)
     out[0] = q
+    last_handover = m_max - _MIN_VECTOR_TAIL
     if kind is Geometry.XOR:
         extra = 0.0
         q_prev = 1.0  # q^(m-1)
@@ -153,7 +179,15 @@ def hazard_series(spec: GeometrySpec, q: float, m_max: int) -> np.ndarray:
         for m in range(2, m_max + 1):
             q_prev *= q
             q_m *= q
-            extra = (1.0 - q_prev) * (1.0 + extra)
+            keep = 1.0 - q_prev
+            if keep == 1.0 and m <= last_handover:
+                # From here on extra = 1 + extra exactly, a running sum.
+                extras = np.ones(m_max - m + 1)
+                extras[0] = 1.0 + extra
+                np.cumsum(extras, out=extras)
+                out[m - 1 :] = _geometric_tail(q_m, q, len(extras)) * (1.0 + extras)
+                break
+            extra = keep * (1.0 + extra)
             out[m - 1] = q_m * (1.0 + extra)
         return out
     if kind is Geometry.RING:
@@ -170,23 +204,47 @@ def hazard_series(spec: GeometrySpec, q: float, m_max: int) -> np.ndarray:
                 out[m - 1] = q_m
                 continue
             tail = _pow_of_power_of_two(w, m - 1)
+            if w == q and tail == 0.0 and m <= last_handover:
+                # Both hold from here on, so Q(m) = q^m / (1 - q).
+                out[m - 1 :] = _geometric_tail(q_m, q, m_max - m + 1) / (1.0 - q)
+                break
             out[m - 1] = q_m * (1.0 - tail) / (1.0 - w)
         return out
     raise ValueError(f"unknown geometry kind: {kind}")
+
+
+def _geometric_tail(first: float, ratio: float, count: int) -> np.ndarray:
+    """first * ratio^k for k = 0..count-1, multiplied in sequence."""
+    powers = np.full(count, ratio)
+    powers[0] = first
+    with np.errstate(under="ignore"):
+        return np.cumprod(powers, out=powers)
 
 
 def cumulative_success(hazards: np.ndarray) -> np.ndarray:
     """p(1..len(hazards)): cumulative products of (1 - Q(m)).
 
     Accumulates in the log domain past 64 phases or when any surviving
-    factor drops below 1e-12.
+    factor drops below 1e-12.  There the sum stops at the last nonzero
+    hazard: log1p(-0) adds nothing, so p stays flat after it.
     """
     if len(hazards) <= _DIRECT_PRODUCT_MAX_H:
         factors = 1.0 - hazards
         if factors.min() >= _DIRECT_PRODUCT_MIN_FACTOR:
             return np.cumprod(factors)
+    stop = len(hazards)
+    if hazards[-1] == 0.0:
+        stop = int(np.max(np.flatnonzero(hazards), initial=0)) + 1
     with np.errstate(under="ignore"):
-        return np.exp(np.cumsum(np.log1p(-hazards)))
+        p = np.exp(np.cumsum(np.log1p(-hazards[:stop])))
+    return _extend(p, len(hazards), p[-1])
+
+
+def _extend(head: np.ndarray, length: int, fill: float) -> np.ndarray:
+    """head followed by copies of fill up to length entries."""
+    if len(head) == length:
+        return head
+    return np.concatenate((head, np.full(length - len(head), fill)))
 
 
 def success_series(spec: GeometrySpec, q: float, h_max: int) -> np.ndarray:

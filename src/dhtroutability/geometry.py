@@ -102,10 +102,6 @@ class DistanceProfile:
     values: tuple
     normalized: bool
 
-    def total(self) -> float:
-        """Sum of stored values: 2^d - 1 exact, or 1 - 2^-d normalized."""
-        return math.fsum(self.values) if self.normalized else sum(self.values)
-
 
 @functools.lru_cache(maxsize=256)
 def distance_profile(spec: GeometrySpec) -> DistanceProfile:

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -6,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dhtroutability.analytic import (
+    _MIN_VECTOR_TAIL,
     DenominatorMode,
+    cumulative_success,
     expected_reach,
     hazard_series,
     routability,
@@ -379,3 +382,164 @@ def test_hypercube_oracle_small_instance():
                 for failed, count in enumerate(hist)
             )
             assert _path_success(Geometry.HYPERCUBE, d, q, h) == pytest.approx(oracle, abs=1e-12)
+
+
+# --- exact head/tail evaluation ----------------------------------------------
+#
+# hazard_series hands long xor and ring series to numpy once the recurrence
+# is an exact running sum or product, cuts hypercube's powers where they
+# underflow, and cumulative_success stops its log-domain sum at the last
+# nonzero hazard.  The references below are the plain scalar loops, the
+# full-length power and the full log-domain product; the fast paths must
+# match them bit for bit.
+#
+# Points run: every q of EXACT_Q (0, the smallest subnormal, 1e-300, 1e-5,
+# the 0.005 grid to 0.995, 0.999, 1 - 2^-20, 1 - 2^-53 and 20 seeded random
+# q), plus per q the horizons around the m where the xor or ring loop may
+# hand over (m and m + _MIN_VECTOR_TAIL, each +-1) and around hypercube's
+# zero cut (+-2).  The horizons are 1, 2, 3, 64, 65, 100 and 1,000 for
+# every q, and 10,000 for every q off the 0.005 grid and every fifth q on
+# it (the 0.025 grid): the scalar references cost ~3 ms per q at 10,000
+# phases.  Each reference series is computed once per (geometry, q) at its
+# largest horizon; shorter horizons compare against its prefix, which the
+# causal loops make exact.
+
+EXACT_HORIZONS = (1, 2, 3, 64, 65, 100, 1_000)
+EXACT_HORIZON_MAX = 10_000
+_EXACT_GRID = tuple(round(0.005 * i, 3) for i in range(1, 200))
+_EXACT_RNG = random.Random(20061)
+EXACT_Q = (
+    0.0,
+    5e-324,
+    1e-300,
+    1e-5,
+    *_EXACT_GRID,
+    0.999,
+    1.0 - 2.0**-20,
+    1.0 - 2.0**-53,
+    *(_EXACT_RNG.random() for _ in range(20)),
+)
+EXACT_Q_LONG = frozenset(EXACT_Q) - frozenset(_EXACT_GRID) | frozenset(_EXACT_GRID[4::5])
+
+
+def _reference_pow_of_power_of_two(base, log2_exponent):
+    if log2_exponent <= 60:
+        return base ** (1 << log2_exponent)
+    if log2_exponent <= 1023:
+        return math.exp(math.ldexp(1.0, log2_exponent) * math.log(base))
+    return 0.0
+
+
+def _reference_xor(q, m_max):
+    out = np.empty(m_max, dtype=float)
+    out[0] = q
+    extra = 0.0
+    q_prev = 1.0  # q^(m-1)
+    q_m = q
+    for m in range(2, m_max + 1):
+        q_prev *= q
+        q_m *= q
+        extra = (1.0 - q_prev) * (1.0 + extra)
+        out[m - 1] = q_m * (1.0 + extra)
+    return out
+
+
+def _reference_ring(q, m_max):
+    out = np.empty(m_max, dtype=float)
+    out[0] = q
+    q_prev = 1.0
+    q_m = q
+    for m in range(2, m_max + 1):
+        q_prev *= q
+        q_m *= q
+        if q_m == 0.0:
+            out[m - 1 :] = 0.0
+            break
+        w = q * (1.0 - q_prev)
+        if w == 0.0:
+            out[m - 1] = q_m
+            continue
+        tail = _reference_pow_of_power_of_two(w, m - 1)
+        out[m - 1] = q_m * (1.0 - tail) / (1.0 - w)
+    return out
+
+
+def _reference_hypercube(q, m_max):
+    with np.errstate(under="ignore"):
+        return q ** np.arange(1, m_max + 1, dtype=float)
+
+
+def _reference_cumulative_success(hazards):
+    if len(hazards) <= 64:
+        factors = 1.0 - hazards
+        if factors.min() >= 1e-12:
+            return np.cumprod(factors)
+    with np.errstate(under="ignore"):
+        return np.exp(np.cumsum(np.log1p(-hazards)))
+
+
+def _handover_m(kind, q):
+    """First m at which the xor or ring loop's tail condition holds."""
+    q_prev = 1.0
+    for m in range(2, EXACT_HORIZON_MAX + 1):
+        q_prev *= q
+        if kind is Geometry.XOR and 1.0 - q_prev == 1.0:
+            return m
+        w = q * (1.0 - q_prev)
+        if kind is Geometry.RING and w == q and _reference_pow_of_power_of_two(w, m - 1) == 0.0:
+            return m
+    return None
+
+
+def _boundary_horizons(kind, q, reference):
+    if kind is Geometry.HYPERCUBE:
+        if q == 0.0:
+            return ()
+        cut = math.floor(1076.0 / -math.log2(q))
+        zeros = np.flatnonzero(reference == 0.0)
+        first_zero = int(zeros[0]) + 1 if len(zeros) else len(reference)
+        return tuple(m + k for m in (cut, first_zero) for k in range(-2, 3))
+    m = _handover_m(kind, q)
+    if m is None:
+        return ()
+    return tuple(b + k for b in (m, m + _MIN_VECTOR_TAIL) for k in (-1, 0, 1))
+
+
+@pytest.mark.parametrize("kind", [Geometry.XOR, Geometry.RING, Geometry.HYPERCUBE])
+def test_hazard_series_bitwise_equals_scalar_reference(kind):
+    spec = GeometrySpec(kind, 12)
+    reference_of = {
+        Geometry.XOR: _reference_xor,
+        Geometry.RING: _reference_ring,
+        Geometry.HYPERCUBE: _reference_hypercube,
+    }[kind]
+    for q in EXACT_Q:
+        longest = EXACT_HORIZON_MAX if q in EXACT_Q_LONG else EXACT_HORIZONS[-1]
+        full = reference_of(q, longest)
+        horizons = {*EXACT_HORIZONS, longest, *_boundary_horizons(kind, q, full)}
+        for m_max in sorted(m for m in horizons if 1 <= m <= longest):
+            want = _reference_hypercube(q, m_max) if kind is Geometry.HYPERCUBE else full[:m_max]
+            got = hazard_series(spec, q, m_max)
+            assert got.tobytes() == want.tobytes(), (q, m_max)
+            with np.errstate(divide="ignore"):  # a hazard of 1 near q = 1
+                assert (
+                    cumulative_success(got).tobytes()
+                    == _reference_cumulative_success(want).tobytes()
+                ), (q, m_max)
+
+
+def test_cumulative_success_bitwise_equals_reference_with_trailing_zeros():
+    # Synthetic hazards whose last nonzero entry sits anywhere, so that a
+    # sum stopped one entry early or late shows in the bits.
+    rng = np.random.default_rng(20061)
+    for length in (1, 2, 3, 64, 65, 100, 1000):
+        for last in sorted({-1, 0, 1, length // 2, length - 2, length - 1}):
+            if last >= length:
+                continue
+            hazards = rng.uniform(0.05, 0.9, length)
+            hazards[rng.random(length) < 0.2] = 0.0
+            hazards[last + 1 :] = 0.0
+            if last >= 0:
+                hazards[last] = rng.uniform(0.05, 0.9)
+            want = _reference_cumulative_success(hazards)
+            assert cumulative_success(hazards).tobytes() == want.tobytes(), (length, last)
