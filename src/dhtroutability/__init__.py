@@ -34,6 +34,7 @@ from .simulator import (
     build_overlay,
     draw_failure_pattern,
     estimate_routability,
+    estimate_sweep,
     route,
 )
 
@@ -57,6 +58,7 @@ __all__ = [
     "distance_profile",
     "draw_failure_pattern",
     "estimate_routability",
+    "estimate_sweep",
     "expected_reach",
     "hazard_series",
     "routability",

@@ -46,6 +46,7 @@ differently, so none of them is used on a term the loop computes.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -235,7 +236,9 @@ def cumulative_success(hazards: np.ndarray) -> np.ndarray:
     stop = len(hazards)
     if hazards[-1] == 0.0:
         stop = int(np.max(np.flatnonzero(hazards), initial=0)) + 1
-    with np.errstate(under="ignore"):
+    # A hazard of exactly 1 (q within an ulp of 1) gives log1p(-1) = -inf
+    # and p = 0 from there on, as it should.
+    with np.errstate(under="ignore", divide="ignore"):
         p = np.exp(np.cumsum(np.log1p(-hazards[:stop])))
     return _extend(p, len(hazards), p[-1])
 
@@ -261,7 +264,7 @@ def expected_reach(spec: GeometrySpec, q: float) -> float:
     _validate_q(q)
     profile = distance_profile(spec)
     p = success_series(spec, q, spec.d)
-    return math.fsum(n * s for n, s in zip(profile.values, p))
+    return math.fsum(map(operator.mul, profile.values, p.tolist()))
 
 
 @dataclass(frozen=True)

@@ -30,9 +30,14 @@ from .simulator import (
     MAX_ROUTES,
     MAX_TRIALS,
     SIM_MAX_D,
+    SimOutcome,
     SimSeeds,
-    estimate_routability,
+    estimate_sweep,
 )
+
+# Not called here since the grid runs one estimate_sweep per geometry, but
+# kept importable: bench/tracing.py swaps this name for a timed wrapper.
+from .simulator import estimate_routability  # noqa: F401
 
 COMMANDS = ("analytic", "simulate", "compare", "asymptotic", "scalability")
 
@@ -158,7 +163,7 @@ class ExperimentConfig:
         return meta
 
 
-def _analytic_cells(config: ExperimentConfig, spec: GeometrySpec, q: float) -> dict:
+def _analytic_cells(config: ExperimentConfig, spec: GeometrySpec, q: float, sim) -> dict:
     res = routability(spec, q, config.denominator_mode)
     return {
         "analytic_routability": res.routability,
@@ -166,9 +171,10 @@ def _analytic_cells(config: ExperimentConfig, spec: GeometrySpec, q: float) -> d
     }
 
 
-def _sim_cells(config: ExperimentConfig, spec: GeometrySpec, q: float) -> dict:
-    seeds = config.seeds()
-    sim = estimate_routability(spec, q, config.trials, config.pairs_per_trial, seeds)
+def _sim_cells(config: ExperimentConfig, spec: GeometrySpec, q: float, sim) -> dict:
+    if isinstance(sim, ValueError):
+        raise sim
+    seeds = sim.seeds
     return {
         "sim_routability": sim.routable_fraction,
         "sim_std_error": sim.std_error,
@@ -177,7 +183,7 @@ def _sim_cells(config: ExperimentConfig, spec: GeometrySpec, q: float) -> dict:
     }
 
 
-def _verdict_cells(config: ExperimentConfig, spec: GeometrySpec, q: float) -> dict:
+def _verdict_cells(config: ExperimentConfig, spec: GeometrySpec, q: float, sim) -> dict:
     verdict = classify(spec, q)
     cells = {"verdict": verdict.verdict.value, "limit_estimate": verdict.limit_estimate}
     cells.update((f"sum_q_at_{h}", total) for h, total in verdict.partial_sums)
@@ -186,7 +192,9 @@ def _verdict_cells(config: ExperimentConfig, spec: GeometrySpec, q: float) -> di
     return cells
 
 
-#: The stages that fill one row of each command, in order.
+#: The stages that fill one row of each command, in order.  Each takes the
+#: row's (config, spec, q, sim), sim being the row's simulated outcome (or
+#: the error its sweep raised) for simulate and compare, None otherwise.
 _STAGES = {
     "analytic": (_analytic_cells,),
     "simulate": (_sim_cells,),
@@ -221,11 +229,22 @@ def compare_tolerance_breach(
     return None
 
 
+def _simulate(config: ExperimentConfig, spec: GeometrySpec, qs) -> list[SimOutcome | ValueError]:
+    """One simulated outcome per q from a single sweep, or its error for each q."""
+    try:
+        return list(estimate_sweep(spec, qs, config.trials, config.pairs_per_trial, config.seeds()))
+    except ValueError as exc:
+        return [exc] * len(qs)
+
+
 def run_grid(config: ExperimentConfig) -> tuple[list[dict], list[str]]:
     """One row per (geometry, d, q), plus compare's tolerance breaches.
 
     Each row runs its command's stages in order; a stage's ValueError
     goes into the row's error and ends that row, and the grid continues.
+    simulate and compare run one estimate_sweep over the whole q grid per
+    (geometry, d); a ValueError from it becomes the error of each of its
+    rows that reaches the simulate stage.
     """
     command = config.command
     if command != "asymptotic" and len(config.d_values) != 1:
@@ -235,15 +254,18 @@ def run_grid(config: ExperimentConfig) -> tuple[list[dict], list[str]]:
         raise UsageError(f"{noun} requires d <= {SIM_MAX_D}")
     rows: list[dict] = []
     breaches: list[str] = []
+    qs = config.q_grid()
     for kind in config.geometries:
         for d in config.d_values:
             spec = config.spec_for(kind, d)
-            for q in config.q_grid():
+            simulated = _sim_cells in _STAGES[command]
+            sims = _simulate(config, spec, qs) if simulated else [None] * len(qs)
+            for q, sim in zip(qs, sims):
                 row = {"geometry": kind.value, "d": d, "n_nodes": spec.n_nodes, "q": q}
                 rows.append(row)
                 try:
                     for stage in _STAGES[command]:
-                        row.update(stage(config, spec, q))
+                        row.update(stage(config, spec, q, sim))
                 except ValueError as exc:
                     row["error"] = str(exc)
                     continue

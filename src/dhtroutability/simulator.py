@@ -23,11 +23,19 @@ the same results.  The metric path (_route_batch) scores every link of
 every active pair.  The mask path (_route_mask; tree, hypercube, xor and
 ring) packs one integer per node whose bit b is set when the link that
 flips bit b, or finger b + 1, is alive, and then takes a highest set bit
-per hop.  Packing costs N x links per trial, so estimate_routability
-takes the mask path only while N is at most MASK_NODES_PER_PAIR times
+per hop.  Packing costs N x links per aliveness row, so the estimators
+take the mask path only while N is at most MASK_NODES_PER_PAIR times
 the pairs per trial (3 for tree, 8 for ring, 12 for hypercube and xor,
 each below its measured break-even); route(), symphony and larger N
-take the metric path.
+take the metric path.  Both routers take a stack of aliveness rows, one
+per q point, and route each pair over its own row.
+
+estimate_sweep traces routability over a whole q grid.  Per trial it
+builds the overlay once and draws one uniform per node once; the pattern
+at q keeps the nodes whose uniform is at least q, so it is the pattern a
+draw at q alone gives.  All q points' pairs then go through one router
+call, or a few when rows x pairs or rows x N would pass
+MAX_PAIRS_PER_TRIAL.  estimate_routability is the one-point sweep.
 
 Randomized construction choices (XOR bucket suffixes, ring finger
 offsets, symphony shortcut lengths) derive deterministically from a
@@ -42,7 +50,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -185,12 +193,21 @@ class FailurePattern:
         return int(np.count_nonzero(self.alive))
 
 
-def draw_failure_pattern(n_nodes: int, q: float, fail_seed: int) -> FailurePattern:
-    """Reproducible aliveness mask over n_nodes from (q, fail_seed)."""
+def _check_q(q: float) -> None:
     if not 0.0 <= q < 1.0:
         raise ValueError(f"failure probability q must be in [0, 1), got {q}")
-    rng = np.random.default_rng(np.random.SeedSequence(fail_seed))
-    alive = rng.random(n_nodes) >= q
+
+
+def _failure_uniforms(n_nodes: int, fail_seed: int) -> np.ndarray:
+    """One uniform per node from fail_seed; a node fails at q when its
+    uniform is below q, so one draw serves every q."""
+    return np.random.default_rng(np.random.SeedSequence(fail_seed)).random(n_nodes)
+
+
+def draw_failure_pattern(n_nodes: int, q: float, fail_seed: int) -> FailurePattern:
+    """Reproducible aliveness mask over n_nodes from (q, fail_seed)."""
+    _check_q(q)
+    alive = _failure_uniforms(n_nodes, fail_seed) >= q
     return FailurePattern(alive=alive, q=q, fail_seed=fail_seed)
 
 
@@ -207,7 +224,14 @@ class RouteResult:
         return self.delivered
 
 
-def _route_batch(overlay: Overlay, alive: np.ndarray, src, dst):
+def _row_offsets(table: np.ndarray, n: int, row, pairs: int):
+    """table's rows of n entries as one flat array, and each pair's row
+    start in it (int32: estimate_sweep keeps rows x N below 2^21)."""
+    start = np.broadcast_to(np.asarray(row, dtype=np.int32) * n, (pairs,))
+    return np.reshape(table, -1), start
+
+
+def _route_batch(overlay: Overlay, alive: np.ndarray, src, dst, row=0):
     """Greedy routes for whole pair arrays, advanced in lockstep.
 
     Each step moves every active pair to its alive link with the smallest
@@ -215,18 +239,19 @@ def _route_batch(overlay: Overlay, alive: np.ndarray, src, dst):
     distance, or clockwise distance when the overlay has offsets.  A tree
     node may use only the link correcting the leftmost differing bit.
     Pairs with no usable link are dead ends; pairs still active after
-    HOP_CAP_FACTOR * N steps hit the hop cap.  Returns per-pair
-    (delivered, hops, capped) arrays.
+    HOP_CAP_FACTOR * N steps hit the hop cap.  alive is one aliveness
+    mask over the N nodes, or a rows x N stack of them (one per q point),
+    and pair i routes over row[i].  Returns per-pair (delivered, hops,
+    capped) arrays.
     """
     d, n = overlay.spec.d, overlay.n_nodes
     clockwise = overlay.offsets is not None
     tree = overlay.spec.kind is Geometry.TREE
     bit_values = 1 << np.arange(d)
-    # Metrics are below n = 2^d, so OR-ing n into a dead link's metric rules it out.
-    dead_penalty = np.where(alive, 0, n).astype(np.int32)
     cur = np.array(src, dtype=np.int32)
     dst = np.asarray(dst, dtype=np.int32)
-    hops = np.zeros(cur.shape, dtype=np.int64)
+    alive, start = _row_offsets(alive, n, row, cur.size)
+    hops = np.zeros(cur.shape, dtype=np.int32)
     active = np.flatnonzero(cur != dst)
     steps = 0
     while active.size and steps < HOP_CAP_FACTOR * n:
@@ -240,7 +265,8 @@ def _route_batch(overlay: Overlay, alive: np.ndarray, src, dst):
         else:
             links = overlay.targets[node]
         metric = (goal[:, None] - links) & (n - 1) if clockwise else links ^ goal[:, None]
-        metric |= dead_penalty[links]
+        # Metrics are below n = 2^d, so n on a dead link rules it out.
+        metric = np.where(alive[start[active][:, None] + links], metric, n)
         rows = np.arange(active.size)
         best = metric.argmin(axis=1)
         moved = metric[rows, best] < here
@@ -259,7 +285,7 @@ def _bit_length(x: np.ndarray) -> np.ndarray:
     return np.frexp(x)[1]
 
 
-def _route_mask(overlay: Overlay, alive: np.ndarray, src, dst):
+def _route_mask(overlay: Overlay, alive: np.ndarray, src, dst, row=0):
     """_route_batch for tree, hypercube, xor and ring, one bit operation
     per hop instead of a pairs x links metric.
 
@@ -272,25 +298,28 @@ def _route_mask(overlay: Overlay, alive: np.ndarray, src, dst):
                             overshoot, L being the bit length of the
                             clockwise distance, else the highest alive
                             finger below L (those never overshoot)
-    Packing costs N x links, so it pays only when N is small next to the
-    pairs routed.  Same (delivered, hops, capped) as _route_batch.
+    Packing costs N x links per aliveness row, so it pays only when N is
+    small next to the pairs routed.  Same arguments and (delivered, hops,
+    capped) as _route_batch.
     """
     d, n = overlay.spec.d, overlay.n_nodes
     ring = overlay.offsets is not None
     tree = overlay.spec.kind is Geometry.TREE
     # Column c is finger c + 1 on the ring, and flips bit d - 1 - c otherwise.
     column_bit = np.arange(d) if ring else np.arange(d - 1, -1, -1)
-    mask = np.take(alive, overlay.targets) @ (1 << column_bit)
-    # intp node ids index without a conversion copy on every gather.
-    cur = np.array(src, dtype=np.intp)
-    dst = np.asarray(dst, dtype=np.intp)
-    hops = np.zeros(cur.shape, dtype=np.int64)
+    weights = 1 << column_bit
+    # Row by row, so the int64 copy the product makes stays N x links.
+    packed = np.stack([np.take(a, overlay.targets) @ weights for a in np.reshape(alive, (-1, n))])
+    cur = np.array(src, dtype=np.int32)
+    dst = np.asarray(dst, dtype=np.int32)
+    mask, start = _row_offsets(packed, n, row, cur.size)
+    hops = np.zeros(cur.shape, dtype=np.int32)
     active = np.flatnonzero(cur != dst)
     steps = 0
     while active.size and steps < HOP_CAP_FACTOR * n:
         steps += 1
         node, goal = cur[active], dst[active]
-        links = mask[node]
+        links = mask[start[active] + node]
         if ring:
             here = (goal - node) & (n - 1)
             top = _bit_length(here) - 1
@@ -373,6 +402,29 @@ def estimate_routability(
     mean of per-trial delivered fractions; std_error is their sample
     standard deviation divided by sqrt(trials).
     """
+    return estimate_sweep(spec, (q,), trials, pairs_per_trial, seeds, builder)[0]
+
+
+def estimate_sweep(
+    spec: GeometrySpec,
+    qs: Iterable[float],
+    trials: int,
+    pairs_per_trial: int,
+    seeds: SimSeeds,
+    builder: Callable[[GeometrySpec, int], Overlay] = build_overlay,
+) -> tuple[SimOutcome, ...]:
+    """estimate_routability at every q of qs, one trial at a time.
+
+    A trial builds its overlay once and draws its failure uniforms once;
+    each q's pattern keeps the nodes whose uniform is at least q, which is
+    the pattern estimate_routability draws at that q.  Only a q that
+    leaves fewer than two survivors redraws, for itself.  Each q samples
+    its pairs from the same pair stream as estimate_routability, and the
+    trial routes all q points' pairs in one lockstep call, or one per
+    group of q points that keeps rows x pairs and rows x N within
+    MAX_PAIRS_PER_TRIAL.  So every outcome equals estimate_routability's
+    at its q.
+    """
     if trials < 1 or pairs_per_trial < 1:
         raise ValueError("trials and pairs_per_trial must be >= 1")
     if pairs_per_trial > MAX_PAIRS_PER_TRIAL:
@@ -381,41 +433,67 @@ def estimate_routability(
         raise ValueError(f"trials must be <= {MAX_TRIALS}")
     if trials * pairs_per_trial > MAX_ROUTES:
         raise ValueError(f"trials * pairs_per_trial must be <= {MAX_ROUTES}")
+    qs = tuple(qs)
+    for q in qs:
+        _check_q(q)
+    n = spec.n_nodes
     per_pair = MASK_NODES_PER_PAIR.get(spec.kind, 0)
-    router = _route_mask if spec.n_nodes <= per_pair * pairs_per_trial else _route_batch
-    fractions = []
-    hop_cap_hits = 0
-    redrawn = 0
+    router = _route_mask if n <= per_pair * pairs_per_trial else _route_batch
+    # q points per router call: its routes, aliveness flags and packed
+    # masks (rows x pairs, rows x N) stay bounded, as for a single q.
+    group = max(1, MAX_PAIRS_PER_TRIAL // max(pairs_per_trial, n))
+    delivered = np.zeros((len(qs), trials), dtype=np.int64)
+    hop_cap_hits = np.zeros(len(qs), dtype=np.int64)
+    redrawn = np.zeros(len(qs), dtype=np.int64)
     for trial in range(trials):
         overlay = builder(spec, _child_seed(seeds.build, trial))
-        attempt = 0
-        while True:
-            pattern = draw_failure_pattern(
-                spec.n_nodes, q, _child_seed(seeds.fail, trial, attempt)
-            )
-            survivors = np.flatnonzero(pattern.alive)
-            if survivors.size >= 2:
-                break
-            attempt += 1
-            redrawn += 1
-        pair_rng = np.random.default_rng(
-            np.random.SeedSequence([seeds.pair, trial])
-        )
-        n_alive = survivors.size
-        src_idx = pair_rng.integers(0, n_alive, size=pairs_per_trial)
-        dst_idx = pair_rng.integers(0, n_alive, size=pairs_per_trial)
-        collision = src_idx == dst_idx
-        while collision.any():
-            dst_idx[collision] = pair_rng.integers(0, n_alive, size=int(collision.sum()))
-            collision = src_idx == dst_idx
-        delivered, _, capped = router(
-            overlay, pattern.alive, survivors[src_idx], survivors[dst_idx]
-        )
+        uniforms = _failure_uniforms(n, _child_seed(seeds.fail, trial, 0))
+        pair_seed = np.random.SeedSequence([seeds.pair, trial])
+        for first in range(0, len(qs), group):
+            chunk = qs[first : first + group]
+            alive = np.empty((len(chunk), n), dtype=bool)
+            src = np.empty((len(chunk), pairs_per_trial), dtype=np.int32)
+            dst = np.empty_like(src)
+            for row, q in enumerate(chunk):
+                np.greater_equal(uniforms, q, out=alive[row])
+                attempt = 0
+                while np.count_nonzero(alive[row]) < 2:
+                    attempt += 1
+                    fail_seed = _child_seed(seeds.fail, trial, attempt)
+                    np.greater_equal(_failure_uniforms(n, fail_seed), q, out=alive[row])
+                redrawn[first + row] += attempt
+                src[row], dst[row] = _sample_pairs(alive[row], pairs_per_trial, pair_seed)
+            rows = np.repeat(np.arange(len(chunk)), pairs_per_trial)
+            got, _, capped = router(overlay, alive, src.reshape(-1), dst.reshape(-1), rows)
+            done = slice(first, first + len(chunk))
+            delivered[done, trial] = np.count_nonzero(got.reshape(len(chunk), -1), axis=1)
+            hop_cap_hits[done] += np.count_nonzero(capped.reshape(len(chunk), -1), axis=1)
         # Release this trial's tables so only one overlay is alive at a time.
-        del overlay, pattern, survivors
-        hop_cap_hits += int(np.count_nonzero(capped))
-        fractions.append(int(np.count_nonzero(delivered)) / pairs_per_trial)
+        del overlay, uniforms
+    return tuple(
+        _outcome(spec, q, pairs_per_trial, seeds, delivered[i], hop_cap_hits[i], redrawn[i])
+        for i, q in enumerate(qs)
+    )
 
+
+def _sample_pairs(alive: np.ndarray, pairs: int, pair_seed: np.random.SeedSequence):
+    """pairs ordered (src, dst) pairs of distinct survivors, uniformly."""
+    survivors = np.flatnonzero(alive)
+    pair_rng = np.random.default_rng(pair_seed)
+    n_alive = survivors.size
+    src_idx = pair_rng.integers(0, n_alive, size=pairs)
+    dst_idx = pair_rng.integers(0, n_alive, size=pairs)
+    collision = src_idx == dst_idx
+    while collision.any():
+        dst_idx[collision] = pair_rng.integers(0, n_alive, size=int(collision.sum()))
+        collision = src_idx == dst_idx
+    return survivors[src_idx], survivors[dst_idx]
+
+
+def _outcome(spec, q, pairs_per_trial, seeds, delivered, hop_cap_hits, redrawn) -> SimOutcome:
+    """SimOutcome from one q's per-trial delivered counts."""
+    trials = len(delivered)
+    fractions = [count / pairs_per_trial for count in delivered.tolist()]
     mean = math.fsum(fractions) / trials
     if trials > 1:
         variance = math.fsum((f - mean) ** 2 for f in fractions) / (trials - 1)
@@ -429,8 +507,8 @@ def estimate_routability(
         pairs_per_trial=pairs_per_trial,
         routable_fraction=mean,
         std_error=std_error,
-        hop_cap_hits=hop_cap_hits,
+        hop_cap_hits=int(hop_cap_hits),
         seeds=seeds,
         trial_fractions=tuple(fractions),
-        redrawn_patterns=redrawn,
+        redrawn_patterns=int(redrawn),
     )

@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from dhtroutability.analytic import (
     tree_closed_form,
 )
 from dhtroutability.geometry import ALL_GEOMETRIES, Geometry, GeometrySpec
+from dhtroutability.scalability import classify
 
 Q_GRID = (0.0, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9)
 
@@ -543,3 +545,19 @@ def test_cumulative_success_bitwise_equals_reference_with_trailing_zeros():
                 hazards[last] = rng.uniform(0.05, 0.9)
             want = _reference_cumulative_success(hazards)
             assert cumulative_success(hazards).tobytes() == want.tobytes(), (length, last)
+
+
+def test_hazard_of_one_warns_nothing():
+    # At q = 1 - 2^-53 half of xor's long hazards round to exactly 1.0, so
+    # log1p(-1) = -inf by design: p must fall to 0 without a warning.
+    q = 1.0 - 2.0**-53
+    spec = GeometrySpec(Geometry.XOR, 16)
+    assert (hazard_series(spec, q, 10_000) == 1.0).any()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p = success_series(spec, q, 10_000)
+        verdict = classify(spec, q)
+    assert p[-1] == 0.0
+    assert [product for _, product in verdict.partial_products] == [0.0] * len(
+        verdict.partial_products
+    )

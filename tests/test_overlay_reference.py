@@ -16,7 +16,7 @@ import pytest
 
 from dhtroutability import simulator
 from dhtroutability.geometry import ALL_GEOMETRIES, Geometry, GeometrySpec
-from dhtroutability.simulator import SimSeeds, build_overlay, estimate_routability
+from dhtroutability.simulator import SimSeeds, build_overlay, estimate_sweep
 
 
 def reference_overlay(spec, seed):
@@ -108,7 +108,9 @@ def test_d20_tables_pinned(kind):
 
 
 def test_only_one_overlay_alive_at_a_time(monkeypatch):
-    overlays, patterns = [], []
+    # A sweep draws each trial's failure uniforms once and shares them
+    # with every q, so those are what must not outlive their trial.
+    overlays, draws = [], []
 
     def tracked(refs, make):
         def wrapper(*args):
@@ -121,9 +123,9 @@ def test_only_one_overlay_alive_at_a_time(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(
-        simulator, "draw_failure_pattern", tracked(patterns, simulator.draw_failure_pattern)
+        simulator, "_failure_uniforms", tracked(draws, simulator._failure_uniforms)
     )
     spec = GeometrySpec(Geometry.RING, 8)
     builder = tracked(overlays, build_overlay)
-    estimate_routability(spec, 0.1, 4, 50, SimSeeds(1, 2, 3), builder=builder)
-    assert len(overlays) == len(patterns) == 4
+    estimate_sweep(spec, (0.0, 0.1, 0.2), 4, 50, SimSeeds(1, 2, 3), builder=builder)
+    assert len(overlays) == len(draws) == 4

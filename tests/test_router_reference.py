@@ -178,6 +178,30 @@ def test_mask_router_hop_cap_matches_reference(kind, monkeypatch):
 
 
 @pytest.mark.parametrize("kind", ALL_GEOMETRIES)
+@pytest.mark.parametrize("d", [2, 7])
+def test_stacked_rows_match_one_call_per_row(kind, d):
+    # One aliveness row per q point, pairs of all rows interleaved in one
+    # call: each pair must route exactly as in its own row's call.
+    n = 1 << d
+    rng = np.random.default_rng([d, 31])
+    overlay = build_overlay(GeometrySpec(kind, d), int(rng.integers(2**32)))
+    uniforms = rng.random(n)
+    alive = np.stack([uniforms >= q for q in (0.0, 0.1, 0.3, 0.6, 0.9)])
+    pairs = [_pairs(n, rng, limit=300) for _ in alive]
+    src = np.concatenate([s for s, _ in pairs])
+    dst = np.concatenate([t for _, t in pairs])
+    row = np.repeat(np.arange(len(alive)), [len(s) for s, _ in pairs])
+    order = rng.permutation(len(src))
+    routers = (_route_batch, _route_mask) if kind in MASK_GEOMETRIES else (_route_batch,)
+    for router in routers:
+        per_row = zip(*(router(overlay, a, s, t) for a, (s, t) in zip(alive, pairs)))
+        want = [np.concatenate(parts)[order] for parts in per_row]
+        got = router(overlay, alive, src[order], dst[order], row[order])
+        for name, g, w in zip(("delivered", "hops", "capped"), got, want):
+            assert g.tolist() == w.tolist(), (router.__name__, name)
+
+
+@pytest.mark.parametrize("kind", ALL_GEOMETRIES)
 def test_estimate_picks_router_by_crossover(kind, monkeypatch):
     # The mask path runs while N <= factor x pairs per trial; symphony
     # always takes the metric path.
