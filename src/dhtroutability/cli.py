@@ -106,6 +106,9 @@ class ExperimentConfig:
             raise UsageError("seed must be non-negative")
         if self.k_n < 1 or self.k_s < 1:
             raise UsageError("kn and ks must be >= 1")
+        if self.command in ("simulate", "compare") and self.k_n > SIM_MAX_D:
+            # Each near link is an N-entry column of the simulated overlay.
+            raise UsageError(f"{self.command} requires kn <= {SIM_MAX_D}")
         if self.output_format not in ("csv", "json"):
             raise UsageError(f"unknown format: {self.output_format}")
         for name, value in (("q-start", self.q_start), ("q-stop", self.q_stop)):

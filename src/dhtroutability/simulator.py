@@ -20,15 +20,18 @@ defensive hop cap of 4N aborts a route anyway and is counted separately.
 
 Two routers apply the rule to whole pair arrays in lockstep and give
 the same results.  The metric path (_route_batch) scores every link of
-every active pair.  The mask path (_route_mask; tree, hypercube, xor and
-ring) packs one integer per node whose bit b is set when the link that
-flips bit b, or finger b + 1, is alive, and then takes a highest set bit
-per hop.  Packing costs N x links per aliveness row, so the estimators
-take the mask path only while N is at most MASK_NODES_PER_PAIR times
-the pairs per trial (3 for tree, 8 for ring, 12 for hypercube and xor,
-each below its measured break-even); route(), symphony and larger N
-take the metric path.  Both routers take a stack of aliveness rows, one
-per q point, and route each pair over its own row.
+every active pair, except for symphony: its hop walks the k_n + k_s
+link columns once and keeps, per pair, the longest span that does not
+overshoot and leads to an alive node, one elementwise max per column.
+The mask path (_route_mask; tree, hypercube, xor and ring) packs one
+integer per node whose bit b is set when the link that flips bit b, or
+finger b + 1, is alive, and then takes a highest set bit per hop.
+Packing costs N x links per aliveness row, so the estimators take the
+mask path only while N is at most MASK_NODES_PER_PAIR times the pairs
+per trial (3 for tree, 8 for ring, 12 for hypercube and xor, each below
+its measured break-even); route(), symphony and larger N take
+_route_batch.  Both routers take a stack of aliveness rows, one per q
+point, and route each pair over its own row.
 
 estimate_sweep traces routability over a whole q grid.  Per trial it
 builds the overlay once and draws one uniform per node once; the pattern
@@ -43,7 +46,8 @@ offsets, symphony shortcut lengths) derive deterministically from a
 seeds, so identical seeds reproduce bit-identical outcomes.  Each
 overlay is one row-major N x links int32 table of link targets, plus one
 of link spans for ring and symphony, and only one trial's overlay is
-alive at a time.
+alive at a time.  symphony's k_n is capped at SIM_MAX_D, since each near
+link is a table column.
 """
 
 from __future__ import annotations
@@ -114,15 +118,37 @@ class Overlay:
         return self.spec.n_nodes
 
 
+def _draw_below(rng: np.random.Generator, low: int, width: int, out: np.ndarray) -> None:
+    """Fill out with rng.integers(low, low + width, size=out.size), the
+    same values and generator state, for a power-of-two width below 2^32
+    and an even out.size.
+
+    On a power-of-two range Lemire's method never rejects, so each value
+    is the top log2(width) bits of one 32-bit output, two per raw 64-bit
+    draw (low half first).  Width 1 draws nothing, as in numpy.
+    """
+    if width == 1:
+        out.fill(low)
+        return
+    raw = rng.bit_generator.random_raw(out.size // 2).astype("<u8", copy=False)
+    values = raw.view("<u4")
+    values >>= 33 - width.bit_length()
+    values += low
+    out[...] = values
+
+
 def build_overlay(spec: GeometrySpec, build_seed: int) -> Overlay:
     """Construct the full adjacency for one overlay instance.
 
-    Rejects d > 20 (simulator scale).  All randomized choices come from
-    build_seed, drawn column by column in a fixed order.
+    Rejects d > 20 (simulator scale) and symphony k_n > 20 (one table
+    column per near link).  All randomized choices come from build_seed,
+    drawn column by column in a fixed order.
     """
     d = spec.d
     if d > SIM_MAX_D:
         raise ValueError(f"simulator supports d <= {SIM_MAX_D}, got d={d}")
+    if spec.kind is Geometry.SYMPHONY and spec.k_n > SIM_MAX_D:
+        raise ValueError(f"simulator supports k_n <= {SIM_MAX_D}, got k_n={spec.k_n}")
     if build_seed < 0:
         raise ValueError("build_seed must be a non-negative integer")
     n = 1 << d
@@ -141,7 +167,7 @@ def build_overlay(spec: GeometrySpec, build_seed: int) -> Overlay:
             targets &= ~(bits - 1)
             suffixes = np.zeros((d, n), dtype=np.int32)
             for c, bit in enumerate(bits[:-1].tolist()):
-                suffixes[c] = rng.integers(0, bit, size=n, dtype=np.int64)
+                _draw_below(rng, 0, bit, suffixes[c])
             targets |= suffixes.T
         roles = tuple(f"bucket-{i}" for i in range(1, d + 1))
         return Overlay(spec, build_seed, targets, None, roles)
@@ -152,7 +178,7 @@ def build_overlay(spec: GeometrySpec, build_seed: int) -> Overlay:
         spans = np.empty((d, n), dtype=np.int32)
         for i in range(1, d + 1):
             low = 1 << (i - 1)
-            spans[i - 1] = rng.integers(low, 2 * low, size=n, dtype=np.int64)
+            _draw_below(rng, low, low, spans[i - 1])
         roles = tuple(f"finger-{i}" for i in range(1, d + 1))
     elif kind is Geometry.SYMPHONY:
         # k_n immediate clockwise successors plus k_s shortcuts whose
@@ -169,8 +195,9 @@ def build_overlay(spec: GeometrySpec, build_seed: int) -> Overlay:
         raise ValueError(f"unknown geometry kind: {kind}")
     offsets = np.ascontiguousarray(spans.T)
     del spans
-    # int32 cannot overflow: ids and spans are below 2^SIM_MAX_D, so every
-    # sum is below 2^21 before the wrap-around mask.
+    # int32 cannot overflow: ids and spans are below 2^SIM_MAX_D (near
+    # spans are at most k_n <= SIM_MAX_D), so every sum is below 2^21
+    # before the wrap-around mask.
     targets = ids[:, None] + offsets
     targets &= n - 1
     return Overlay(spec, build_seed, targets, offsets, roles)
@@ -238,6 +265,10 @@ def _route_batch(overlay: Overlay, alive: np.ndarray, src, dst, row=0):
     metric to the target, among links that strictly decrease it: XOR
     distance, or clockwise distance when the overlay has offsets.  A tree
     node may use only the link correcting the leftmost differing bit.
+    symphony reaches the same choice without a metric: per link column it
+    keeps the larger of the best span so far and the column's span, when
+    that span is at most the clockwise distance and its target is alive;
+    the pair then steps by that span, or dead-ends when it is 0.
     Pairs with no usable link are dead ends; pairs still active after
     HOP_CAP_FACTOR * N steps hit the hop cap.  alive is one aliveness
     mask over the N nodes, or a rows x N stack of them (one per q point),
@@ -246,6 +277,10 @@ def _route_batch(overlay: Overlay, alive: np.ndarray, src, dst, row=0):
     """
     d, n = overlay.spec.d, overlay.n_nodes
     clockwise = overlay.offsets is not None
+    symphony = overlay.spec.kind is Geometry.SYMPHONY
+    if symphony:
+        links_per_node = overlay.offsets.shape[1]
+        offsets = np.reshape(overlay.offsets, -1)
     tree = overlay.spec.kind is Geometry.TREE
     bit_values = 1 << np.arange(d)
     cur = np.array(src, dtype=np.int32)
@@ -258,20 +293,34 @@ def _route_batch(overlay: Overlay, alive: np.ndarray, src, dst, row=0):
         steps += 1
         node, goal = cur[active], dst[active]
         here = (goal - node) & (n - 1) if clockwise else node ^ goal
-        if tree:
-            # Column c flips bit d-1-c; bit_length(here) by exact search.
-            col = d - np.searchsorted(bit_values, here, side="right")
-            links = overlay.targets[node, col][:, None]
+        if symphony:
+            # The longest alive span that does not overshoot, one link
+            # column at a time; span 0 means no link is usable.
+            base, first = start[active], node * links_per_node
+            span = np.zeros_like(here)
+            for c in range(links_per_node):
+                o = offsets.take(first + c)
+                usable = alive.take(base + ((node + o) & (n - 1)))
+                usable &= o <= here
+                np.maximum(span, o * usable, out=span)
+            moved = span > 0
+            step = (node + span) & (n - 1)
         else:
-            links = overlay.targets[node]
-        metric = (goal[:, None] - links) & (n - 1) if clockwise else links ^ goal[:, None]
-        # Metrics are below n = 2^d, so n on a dead link rules it out.
-        metric = np.where(alive[start[active][:, None] + links], metric, n)
-        rows = np.arange(active.size)
-        best = metric.argmin(axis=1)
-        moved = metric[rows, best] < here
+            if tree:
+                # Column c flips bit d-1-c; bit_length(here) by exact search.
+                col = d - np.searchsorted(bit_values, here, side="right")
+                links = overlay.targets[node, col][:, None]
+            else:
+                links = overlay.targets[node]
+            metric = (goal[:, None] - links) & (n - 1) if clockwise else links ^ goal[:, None]
+            # Metrics are below n = 2^d, so n on a dead link rules it out.
+            metric = np.where(alive[start[active][:, None] + links], metric, n)
+            rows = np.arange(active.size)
+            best = metric.argmin(axis=1)
+            moved = metric[rows, best] < here
+            step = links[rows, best]
         active = active[moved]
-        cur[active] = links[rows[moved], best[moved]]
+        cur[active] = step[moved]
         hops[active] += 1
         active = active[cur[active] != dst[active]]
     capped = np.zeros(cur.shape, dtype=bool)

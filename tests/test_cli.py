@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from dhtroutability import cli, simulator
 from dhtroutability.analytic import tree_closed_form
 from dhtroutability.cli import (
     ExperimentConfig,
@@ -260,6 +261,25 @@ def test_main_usage_errors(capsys):
     assert main(["simulate", "--pairs", "1000001"]) == 1
     assert main(["simulate", "--trials", "1000000000"]) == 1
     assert main(["analytic", "--q-step", "1e-9"]) == 1
+
+
+@pytest.mark.parametrize("kn", ["21", "1000000000"])
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_main_rejects_large_kn_before_building(command, kn, monkeypatch, capsys):
+    def no_build(spec, build_seed):
+        raise AssertionError("built an overlay")
+
+    def sweep(*args):
+        return simulator.estimate_sweep(*args, builder=no_build)
+
+    monkeypatch.setattr(cli, "estimate_sweep", sweep)
+    argv = [command, "--geometry", "symphony", "--d", "4", "--kn", kn]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"dht-routability: error: {command} requires kn <= 20\n"
+    with pytest.raises(UsageError, match="kn <= 20"):
+        _config(command, geometries=(Geometry.SYMPHONY,), d_values=(4,), k_n=int(kn))
+    # The analytic commands take any kn >= 1.
+    _config("analytic", geometries=(Geometry.SYMPHONY,), d_values=(4,), k_n=int(kn))
 
 
 def test_main_check_exit_codes(tmp_path):

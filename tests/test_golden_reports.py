@@ -65,6 +65,13 @@ GOLDEN = [
         "2c5fdc4fb895a9184b6e7a6e506b3ed2643919d2fe57f52894de45ba423234ec",
     ),
     (
+        # symphony with 3 near links and 4 shortcuts: the per-column span
+        # step over more columns than the default k_n = k_s = 1.
+        "compare-symphony-kn3-ks4",
+        "compare --geometry symphony --d 10 --kn 3 --ks 4 --trials 3 --pairs 500 --seed 5",
+        "157fc02ae3876a3cce24f2718bef2b7810f999ff1f8a77daf14507b589b926e0",
+    ),
+    (
         "scalability-fine",
         "scalability --q-start 0.005 --q-stop 0.95 --q-step 0.005",
         "183db0d5f949ac2e37ef0c63bbd065c6dc40cb31dab9c56470db5e10c832bb4d",

@@ -92,6 +92,35 @@ def test_batched_router_matches_reference(kind, d, q):
     _assert_agree(overlay, alive, src, dst, route_checks=100)
 
 
+@pytest.mark.parametrize("d", [3, 6, 10])
+@pytest.mark.parametrize("k_n, k_s", [(3, 4), (20, None)])
+@pytest.mark.parametrize("q", [0.0, 0.1, 0.3, 0.6])
+def test_symphony_span_step_matches_reference(d, k_n, k_s, q):
+    # Many near and shortcut columns; at d = 3 the 20 near spans wrap past
+    # N, and k_s = 4 is capped at d there.  k_s None means k_s = d.
+    spec = GeometrySpec(Geometry.SYMPHONY, d, k_n=k_n, k_s=min(k_s or d, d))
+    rng = np.random.default_rng([d, k_n, int(q * 10)])
+    overlay = build_overlay(spec, int(rng.integers(2**32)))
+    alive = draw_failure_pattern(1 << d, q, int(rng.integers(2**32))).alive
+    src, dst = _pairs(1 << d, rng, limit=600)
+    _assert_agree(overlay, alive, src, dst, route_checks=100)
+
+
+@pytest.mark.parametrize("k_n, k_s", [(1, 1), (3, 4)])
+def test_symphony_hop_cap_matches_reference(k_n, k_s, monkeypatch):
+    # A cap of 3/64 * N = 3 hops at d = 6 binds on longer routes.
+    monkeypatch.setattr(simulator, "HOP_CAP_FACTOR", 3 / 64)
+    d = 6
+    rng = np.random.default_rng(5)
+    overlay = build_overlay(GeometrySpec(Geometry.SYMPHONY, d, k_n=k_n, k_s=k_s), 17)
+    for q in (0.0, 0.2):
+        alive = draw_failure_pattern(1 << d, q, 23).alive
+        src, dst = _pairs(1 << d, rng, limit=1000)
+        _, _, capped = _route_batch(overlay, alive, src, dst)
+        assert capped.any()
+        _assert_agree(overlay, alive, src, dst, route_checks=100)
+
+
 def test_symphony_duplicate_offsets_match_reference():
     # k_n = 2 near links plus two shortcuts that often repeat each other
     # or a near link: equal offsets reach the same node, so ties between

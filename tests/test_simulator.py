@@ -126,6 +126,17 @@ def test_build_rejects_large_d():
         build_overlay(GeometrySpec(Geometry.TREE, 21), 0)
 
 
+@pytest.mark.parametrize("k_n", [21, 10**9])
+def test_build_rejects_large_symphony_kn(k_n, monkeypatch):
+    # Rejected before any table is allocated: each near link is a column.
+    def no_table(*args, **kwargs):
+        raise AssertionError("allocated a table")
+
+    monkeypatch.setattr(simulator.np, "empty", no_table)
+    with pytest.raises(ValueError, match="k_n <= 20"):
+        build_overlay(GeometrySpec(Geometry.SYMPHONY, 4, k_n=k_n), 0)
+
+
 # --- failure patterns ----------------------------------------------------------
 
 
