@@ -18,27 +18,19 @@ as taking the longest alive link that does not overshoot the target.
 Every hop strictly decreases the metric, so routes are loop-free; a
 defensive hop cap of 4N aborts a route anyway and is counted separately.
 
-Two routers apply the rule to whole pair arrays in lockstep and give
-the same results.  The metric path (_route_batch) scores every link of
-every active pair, except for symphony: its hop walks the k_n + k_s
-link columns once and keeps, per pair, the longest span that does not
-overshoot and leads to an alive node, one elementwise max per column.
-The mask path (_route_mask; tree, hypercube, xor and ring) packs one
-integer per node whose bit b is set when the link that flips bit b, or
-finger b + 1, is alive, and then takes a highest set bit per hop.
-Packing costs N x links per aliveness row, so the estimators take the
-mask path only while N is at most MASK_NODES_PER_PAIR times the pairs
-per trial (3 for tree, 8 for ring, 12 for hypercube and xor, each below
-its measured break-even); route(), symphony and larger N take
-_route_batch.  Both routers take a stack of aliveness rows, one per q
-point, and route each pair over its own row.
+One lockstep driver (_lockstep) advances whole pair arrays one hop at a
+time under one of three step rules, which give the same results: the
+metric rule and symphony's span rule (_route_batch), and the mask rule
+(_route_mask; tree, hypercube, xor and ring), which reads each node's
+alive links from one packed integer.  Packing costs N x links per
+aliveness row, so the estimators take the mask rule only while N is at
+most MASK_NODES_PER_PAIR times the pairs per trial.  Both routers take
+a stack of aliveness rows, one per q point, and route each pair over
+its own row.
 
-estimate_sweep traces routability over a whole q grid.  Per trial it
-builds the overlay once and draws one uniform per node once; the pattern
-at q keeps the nodes whose uniform is at least q, so it is the pattern a
-draw at q alone gives.  All q points' pairs then go through one router
-call, or a few when rows x pairs or rows x N would pass
-MAX_PAIRS_PER_TRIAL.  estimate_routability is the one-point sweep.
+estimate_sweep traces routability over a whole q grid: per trial it
+builds the overlay and draws one failure uniform per node once, for
+every q.  estimate_routability is the one-point sweep.
 
 Randomized construction choices (XOR bucket suffixes, ring finger
 offsets, symphony shortcut lengths) derive deterministically from a
@@ -77,8 +69,8 @@ MAX_ROUTES = 100_000_000
 
 #: estimate_routability routes on _route_mask while N <= factor x pairs
 #: per trial.  Measured break-even at d = 12..18, q = 0 and 0.3: N/pairs
-#: ~4 (tree), ~12 (ring), above 16 (hypercube, xor); the factors sit below
-#: it.  symphony has no mask rule.
+#: 2-24 (tree; lowest at large d and q), 12-32 and up (ring, hypercube,
+#: xor).  symphony has no mask rule.
 MASK_NODES_PER_PAIR = {
     Geometry.TREE: 3,
     Geometry.HYPERCUBE: 12,
@@ -160,11 +152,17 @@ def build_overlay(spec: GeometrySpec, build_seed: int) -> Overlay:
         # Bucket-i neighbor (column i-1) flips bit i (bit 1 = most significant)
         # and keeps every other bit, so tree hops correct exactly one bit.
         bits = (1 << np.arange(d - 1, -1, -1)).astype(np.int32)
-        targets = ids[:, None] ^ bits
+        # In an aligned block of 2^m ids v = start ^ j, so v ^ bits is
+        # start ^ (j ^ bits): one long xor per block, not d per node.
+        block = 1 << min(d, 10)
+        targets = np.empty((n, d), dtype=np.int32)
+        blocks = targets.reshape(n // block, -1)
+        pattern = np.arange(block, dtype=np.int32)[:, None] ^ bits
+        np.bitwise_xor(ids[::block, None], pattern.reshape(-1), out=blocks)
         if kind is Geometry.XOR:
             # xor keeps bits 1..i-1, flips bit i, and draws the remaining
             # d-i bits uniformly at random (no draw for the last bucket).
-            targets &= ~(bits - 1)
+            blocks &= np.tile(~(bits - 1), block)
             suffixes = np.zeros((d, n), dtype=np.int32)
             for c, bit in enumerate(bits[:-1].tolist()):
                 _draw_below(rng, 0, bit, suffixes[c])
@@ -251,143 +249,148 @@ class RouteResult:
         return self.delivered
 
 
-def _row_offsets(table: np.ndarray, n: int, row, pairs: int):
-    """table's rows of n entries as one flat array, and each pair's row
-    start in it (int32: estimate_sweep keeps rows x N below 2^21)."""
-    start = np.broadcast_to(np.asarray(row, dtype=np.int32) * n, (pairs,))
-    return np.reshape(table, -1), start
+def _bit_lengths(d: int) -> np.ndarray:
+    """int.bit_length of every value below 2^d, as an int32 table."""
+    return np.repeat(np.arange(d + 1, dtype=np.int32), [1] + [1 << k for k in range(d)])
+
+
+def _lockstep(n: int, src, dst, row, step):
+    """Greedy routes for whole pair arrays, every active pair one hop a step.
+
+    step(node, goal, base) gives each active pair's next node and whether
+    it dead-ends instead; base is row * n, the start of the pair's row in
+    a flat rows x N table.  A pair leaving on step s has s hops when it
+    reached goal, s - 1 when it dead-ended, and s when still active at the
+    HOP_CAP_FACTOR * n cap.  Returns per-pair (delivered, hops, capped).
+    """
+    src = np.asarray(src, dtype=np.int32)
+    dst = np.asarray(dst, dtype=np.int32)
+    delivered = src == dst
+    hops = np.zeros(src.shape, dtype=np.int32)
+    capped = np.zeros(src.shape, dtype=bool)
+    pair = np.flatnonzero(~delivered)
+    node, goal = src.take(pair), dst.take(pair)
+    # int32: estimate_sweep keeps rows x N below 2^21.
+    base = np.broadcast_to(np.asarray(row, dtype=np.int32) * n, src.shape).take(pair)
+    steps = 0
+    while pair.size and steps < HOP_CAP_FACTOR * n:
+        steps += 1
+        node, dead = step(node, goal, base)
+        stop = dead | (node == goal)
+        left = np.flatnonzero(stop)
+        dead = dead.take(left)
+        out = pair.take(left)
+        hops[out] = steps - dead
+        delivered[out] = ~dead
+        keep = np.flatnonzero(~stop)
+        pair, node, goal, base = pair.take(keep), node.take(keep), goal.take(keep), base.take(keep)
+    hops[pair] = steps
+    capped[pair] = True
+    return delivered, hops, capped
 
 
 def _route_batch(overlay: Overlay, alive: np.ndarray, src, dst, row=0):
-    """Greedy routes for whole pair arrays, advanced in lockstep.
+    """Greedy routes for whole pair arrays by the metric or span rule.
 
-    Each step moves every active pair to its alive link with the smallest
-    metric to the target, among links that strictly decrease it: XOR
-    distance, or clockwise distance when the overlay has offsets.  A tree
-    node may use only the link correcting the leftmost differing bit.
-    symphony reaches the same choice without a metric: per link column it
-    keeps the larger of the best span so far and the column's span, when
-    that span is at most the clockwise distance and its target is alive;
-    the pair then steps by that span, or dead-ends when it is 0.
-    Pairs with no usable link are dead ends; pairs still active after
-    HOP_CAP_FACTOR * N steps hit the hop cap.  alive is one aliveness
-    mask over the N nodes, or a rows x N stack of them (one per q point),
-    and pair i routes over row[i].  Returns per-pair (delivered, hops,
-    capped) arrays.
+    A pair steps to its alive link with the smallest metric to the target
+    among links that strictly decrease it (XOR distance, or clockwise
+    distance when the overlay has offsets), or dead-ends; tree scores only
+    the link of the leftmost differing bit, and symphony takes its longest
+    alive span that does not overshoot.  alive is one aliveness mask over
+    the N nodes or a rows x N stack of them, and pair i routes over row[i].
+    Returns per-pair (delivered, hops, capped) arrays.
     """
     d, n = overlay.spec.d, overlay.n_nodes
-    clockwise = overlay.offsets is not None
-    symphony = overlay.spec.kind is Geometry.SYMPHONY
-    if symphony:
-        links_per_node = overlay.offsets.shape[1]
-        offsets = np.reshape(overlay.offsets, -1)
-    tree = overlay.spec.kind is Geometry.TREE
-    bit_values = 1 << np.arange(d)
-    cur = np.array(src, dtype=np.int32)
-    dst = np.asarray(dst, dtype=np.int32)
-    alive, start = _row_offsets(alive, n, row, cur.size)
-    hops = np.zeros(cur.shape, dtype=np.int32)
-    active = np.flatnonzero(cur != dst)
-    steps = 0
-    while active.size and steps < HOP_CAP_FACTOR * n:
-        steps += 1
-        node, goal = cur[active], dst[active]
-        here = (goal - node) & (n - 1) if clockwise else node ^ goal
-        if symphony:
+    alive = np.ravel(alive)
+    if overlay.spec.kind is Geometry.SYMPHONY:
+        links_per_node = overlay.targets.shape[1]
+        offsets = np.ravel(overlay.offsets)
+
+        def step(node, goal, base):
             # The longest alive span that does not overshoot, one link
             # column at a time; span 0 means no link is usable.
-            base, first = start[active], node * links_per_node
+            here = (goal - node) & (n - 1)
+            first = node * links_per_node
             span = np.zeros_like(here)
             for c in range(links_per_node):
                 o = offsets.take(first + c)
                 usable = alive.take(base + ((node + o) & (n - 1)))
                 usable &= o <= here
                 np.maximum(span, o * usable, out=span)
-            moved = span > 0
-            step = (node + span) & (n - 1)
+            return (node + span) & (n - 1), span == 0
+
+        return _lockstep(n, src, dst, row, step)
+
+    clockwise = overlay.offsets is not None
+    bit_length = _bit_lengths(d) if overlay.spec.kind is Geometry.TREE else None
+
+    def step(node, goal, base):
+        here = (goal - node) & (n - 1) if clockwise else node ^ goal
+        if bit_length is None:
+            links = overlay.targets.take(node, axis=0)
         else:
-            if tree:
-                # Column c flips bit d-1-c; bit_length(here) by exact search.
-                col = d - np.searchsorted(bit_values, here, side="right")
-                links = overlay.targets[node, col][:, None]
-            else:
-                links = overlay.targets[node]
-            metric = (goal[:, None] - links) & (n - 1) if clockwise else links ^ goal[:, None]
-            # Metrics are below n = 2^d, so n on a dead link rules it out.
-            metric = np.where(alive[start[active][:, None] + links], metric, n)
-            rows = np.arange(active.size)
-            best = metric.argmin(axis=1)
-            moved = metric[rows, best] < here
-            step = links[rows, best]
-        active = active[moved]
-        cur[active] = step[moved]
-        hops[active] += 1
-        active = active[cur[active] != dst[active]]
-    capped = np.zeros(cur.shape, dtype=bool)
-    capped[active] = True
-    return cur == dst, hops, capped
+            # Column c flips bit d - 1 - c.
+            links = overlay.targets[node, d - bit_length.take(here)][:, None]
+        metric = (goal[:, None] - links) & (n - 1) if clockwise else links ^ goal[:, None]
+        # Metrics are below n = 2^d, so n on a dead link rules it out.
+        metric = np.where(alive.take(base[:, None] + links), metric, n)
+        best = metric.argmin(axis=1)[:, None]
+        dead = np.take_along_axis(metric, best, axis=1)[:, 0] >= here
+        return np.take_along_axis(links, best, axis=1)[:, 0], dead
+
+    return _lockstep(n, src, dst, row, step)
 
 
-def _bit_length(x: np.ndarray) -> np.ndarray:
-    """Exact int.bit_length per entry (0 for 0): frexp's exponent, since
-    every value is below 2^53."""
-    return np.frexp(x)[1]
+def _pack_alive_links(overlay: Overlay, alive: np.ndarray) -> np.ndarray:
+    """One int32 per node and aliveness row (rows x N): bit b is set when
+    the link that flips bit b (tree, hypercube, xor) or finger b + 1
+    (ring) is alive in that row."""
+    d, n = overlay.spec.d, overlay.n_nodes
+    ring = overlay.offsets is not None
+    alive = np.reshape(alive, (-1, n))
+    packed = np.zeros(alive.shape, dtype=np.int32)
+    for c, column in enumerate(overlay.targets.T):
+        bit = c if ring else d - 1 - c
+        packed |= np.left_shift(alive.take(column, axis=1), bit, dtype=np.int32)
+    return packed
 
 
 def _route_mask(overlay: Overlay, alive: np.ndarray, src, dst, row=0):
-    """_route_batch for tree, hypercube, xor and ring, one bit operation
-    per hop instead of a pairs x links metric.
+    """_route_batch for tree, hypercube, xor and ring by the mask rule.
 
-    First packs one integer per node: bit b is set when the link that
-    flips bit b (tree, hypercube, xor) or finger b + 1 (ring) is alive.
-    The greedy choice then reads off a highest set bit:
-      tree, hypercube, xor  the highest alive bit of node ^ dst; tree only
-                            looks at the leftmost one
-      ring                  finger L when it is alive and does not
-                            overshoot, L being the bit length of the
-                            clockwise distance, else the highest alive
-                            finger below L (those never overshoot)
-    Packing costs N x links per aliveness row, so it pays only when N is
-    small next to the pairs routed.  Same arguments and (delivered, hops,
-    capped) as _route_batch.
+    A pair takes the highest alive bit of node ^ dst (tree: only the
+    leftmost differing bit); on the ring, finger L when it is alive and
+    does not overshoot, L being the bit length of the clockwise distance,
+    else the highest alive finger below L, which never overshoots.  Bit
+    lengths come from an N-entry table.
     """
     d, n = overlay.spec.d, overlay.n_nodes
     ring = overlay.offsets is not None
     tree = overlay.spec.kind is Geometry.TREE
-    # Column c is finger c + 1 on the ring, and flips bit d - 1 - c otherwise.
-    column_bit = np.arange(d) if ring else np.arange(d - 1, -1, -1)
-    weights = 1 << column_bit
-    # Row by row, so the int64 copy the product makes stays N x links.
-    packed = np.stack([np.take(a, overlay.targets) @ weights for a in np.reshape(alive, (-1, n))])
-    cur = np.array(src, dtype=np.int32)
-    dst = np.asarray(dst, dtype=np.int32)
-    mask, start = _row_offsets(packed, n, row, cur.size)
-    hops = np.zeros(cur.shape, dtype=np.int32)
-    active = np.flatnonzero(cur != dst)
-    steps = 0
-    while active.size and steps < HOP_CAP_FACTOR * n:
-        steps += 1
-        node, goal = cur[active], dst[active]
-        links = mask[start[active] + node]
+    packed = np.ravel(_pack_alive_links(overlay, alive))
+    targets = np.ravel(overlay.targets)
+    offsets = np.ravel(overlay.offsets) if ring else None
+    bit_length = _bit_lengths(d)
+
+    def step(node, goal, base):
+        links = packed.take(base + node)
+        first = node * d
         if ring:
             here = (goal - node) & (n - 1)
-            top = _bit_length(here) - 1
-            take_top = (links >> top) & 1 & (overlay.offsets[node, top] <= here)
-            bit = np.where(take_top, top, _bit_length(links & ((1 << top) - 1)) - 1)
+            top = bit_length.take(here) - 1
+            take_top = (links >> top) & 1 & (offsets.take(first + top) <= here)
+            bit = np.where(take_top, top, bit_length.take(links & ((1 << top) - 1)) - 1)
+            column = bit
         else:
             here = node ^ goal
             if tree:
-                here = 1 << (_bit_length(here) - 1)
-            bit = _bit_length(links & here) - 1
-        moved = bit >= 0
-        active = active[moved]
-        column = bit[moved] if ring else d - 1 - bit[moved]
-        cur[active] = overlay.targets[node[moved], column]
-        hops[active] += 1
-        active = active[cur[active] != dst[active]]
-    capped = np.zeros(cur.shape, dtype=bool)
-    capped[active] = True
-    return cur == dst, hops, capped
+                here = 1 << (bit_length.take(here) - 1)
+            bit = bit_length.take(links & here) - 1
+            column = d - 1 - bit
+        # A dead end's column is -1 or d; clip keeps its unused gather in bounds.
+        return targets.take(first + column, mode="clip"), bit < 0
+
+    return _lockstep(n, src, dst, row, step)
 
 
 def route(overlay: Overlay, pattern: FailurePattern, src: int, dst: int) -> RouteResult:
@@ -405,10 +408,7 @@ def route(overlay: Overlay, pattern: FailurePattern, src: int, dst: int) -> Rout
     if pattern.n_nodes != n:
         raise ValueError("failure pattern size does not match the overlay")
     delivered, hops, capped = _route_batch(overlay, pattern.alive, [src], [dst])
-    if delivered[0]:
-        reason = None
-    else:
-        reason = FAILED_HOP_CAP if capped[0] else FAILED_DEAD_END
+    reason = None if delivered[0] else FAILED_HOP_CAP if capped[0] else FAILED_DEAD_END
     return RouteResult(delivered=bool(delivered[0]), hops=int(hops[0]), reason=reason)
 
 

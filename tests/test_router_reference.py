@@ -251,3 +251,64 @@ def test_estimate_picks_router_by_crossover(kind, monkeypatch):
     estimate_routability(spec, 0.1, 1, fewest, seeds)
     estimate_routability(spec, 0.1, 1, fewest - 1, seeds)
     assert calls == ["_route_mask", "_route_batch"]
+
+
+@pytest.mark.parametrize("kind", MASK_GEOMETRIES)
+def test_metric_path_hop_cap_matches_reference(kind, monkeypatch):
+    # The cap of the mask-path test, on the metric rule.
+    monkeypatch.setattr(simulator, "HOP_CAP_FACTOR", 3 / 64)
+    d = 6
+    rng = np.random.default_rng(5)
+    overlay = build_overlay(GeometrySpec(kind, d), 17)
+    for q in (0.0, 0.2):
+        alive = draw_failure_pattern(1 << d, q, 23).alive
+        src, dst = _pairs(1 << d, rng, limit=1000)
+        _, _, capped = _route_batch(overlay, alive, src, dst)
+        assert capped.any()
+        _assert_agree(overlay, alive, src, dst, route_checks=100)
+
+
+STEP_RULES = [(_route_batch, kind) for kind in ALL_GEOMETRIES]
+STEP_RULES += [(_route_mask, kind) for kind in MASK_GEOMETRIES]
+
+
+@pytest.mark.parametrize(
+    "router, kind", STEP_RULES, ids=[f"{r.__name__}-{k.value}" for r, k in STEP_RULES]
+)
+def test_route_as_long_as_the_cap_is_delivered(router, kind, monkeypatch):
+    # Hops are written when a pair leaves: a route of exactly cap hops is
+    # delivered, and one hop more is capped with hops == cap.
+    d, cap = 6, 3
+    n = 1 << d
+    overlay = build_overlay(GeometrySpec(kind, d), 17)
+    alive = draw_failure_pattern(n, 0.1, 23).alive
+    src, dst = _pairs(n, np.random.default_rng(5), limit=n * n)
+    routes = [
+        reference_route(kind, overlay.targets, overlay.offsets, alive, s, t, n)
+        for s, t in zip(src.tolist(), dst.tolist())
+    ]
+    lengths = np.array([hops if delivered else -1 for delivered, hops, _ in routes])
+    at_cap, past_cap = np.flatnonzero(lengths == cap), np.flatnonzero(lengths == cap + 1)
+    assert at_cap.size and past_cap.size
+    monkeypatch.setattr(simulator, "HOP_CAP_FACTOR", cap / n)
+    pick = np.concatenate([at_cap, past_cap])
+    delivered, hops, capped = router(overlay, alive, src[pick], dst[pick])
+    assert delivered.tolist() == [True] * at_cap.size + [False] * past_cap.size
+    assert capped.tolist() == [False] * at_cap.size + [True] * past_cap.size
+    assert hops.tolist() == [cap] * pick.size
+
+
+@pytest.mark.parametrize("kind", MASK_GEOMETRIES)
+@pytest.mark.parametrize("d", [1, 2, 7, 12])
+def test_packed_links_match_product(kind, d):
+    # Bit b of a node's integer is set when the link flipping bit b, or
+    # finger b + 1, is alive: the row-by-row weighted product.
+    n = 1 << d
+    overlay = build_overlay(GeometrySpec(kind, d), d)
+    uniforms = np.random.default_rng(d).random(n)
+    alive = np.stack([uniforms >= q for q in (0.0, 0.2, 0.5, 0.9)])
+    column_bit = np.arange(d) if kind is Geometry.RING else np.arange(d - 1, -1, -1)
+    want = np.stack([np.take(row, overlay.targets) @ (1 << column_bit) for row in alive])
+    packed = simulator._pack_alive_links(overlay, alive)
+    assert packed.dtype == np.int32
+    assert packed.tolist() == want.tolist()
