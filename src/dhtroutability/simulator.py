@@ -19,14 +19,14 @@ Every hop strictly decreases the metric, so routes are loop-free; a
 defensive hop cap of 4N aborts a route anyway and is counted separately.
 
 One lockstep driver (_lockstep) advances whole pair arrays one hop at a
-time under one of three step rules, which give the same results: the
-metric rule and symphony's span rule (_route_batch), and the mask rule
-(_route_mask; tree, hypercube, xor and ring), which reads each node's
-alive links from one packed integer.  Packing costs N x links per
-aliveness row, so the estimators take the mask rule only while N is at
-most MASK_NODES_PER_PAIR times the pairs per trial.  Both routers take
-a stack of aliveness rows, one per q point, and route each pair over
-its own row.
+time under one router, _route_batch.  symphony walks its link columns
+for the longest alive span that does not overshoot; tree, hypercube, xor
+and ring share one word rule, which reads a node's alive links from one
+integer.  The router packs every node's word once per aliveness row, at
+N x links, while N is at most MASK_NODES_PER_PAIR times the pairs per
+row, and otherwise gathers each active pair's links per hop.  It takes a
+stack of aliveness rows, one per q point, and routes each pair over its
+own row.
 
 estimate_sweep traces routability over a whole q grid: per trial it
 builds the overlay and draws one failure uniform per node once, for
@@ -67,16 +67,11 @@ MAX_TRIALS = 10_000
 #: Routes one estimate may run, trials x pairs_per_trial.
 MAX_ROUTES = 100_000_000
 
-#: estimate_routability routes on _route_mask while N <= factor x pairs
-#: per trial.  Measured break-even at d = 12..18, q = 0 and 0.3: N/pairs
-#: 2-24 (tree; lowest at large d and q), 12-32 and up (ring, hypercube,
-#: xor).  symphony has no mask rule.
-MASK_NODES_PER_PAIR = {
-    Geometry.TREE: 3,
-    Geometry.HYPERCUBE: 12,
-    Geometry.XOR: 12,
-    Geometry.RING: 8,
-}
+#: The router packs alive-link words while N <= factor x pairs per row,
+#: and gathers them per hop otherwise.  Measured break-even against the
+#: gather at d = 12..18: N/pairs 8-12 for tree, hypercube, xor and ring
+#: (one q row at 0 or 0.3, or 11 rows from 0 to 0.5).
+MASK_NODES_PER_PAIR = 10
 
 FAILED_DEAD_END = "dead_end"
 FAILED_HOP_CAP = "hop_cap"
@@ -249,9 +244,10 @@ class RouteResult:
         return self.delivered
 
 
-def _bit_lengths(d: int) -> np.ndarray:
-    """int.bit_length of every value below 2^d, as an int32 table."""
-    return np.repeat(np.arange(d + 1, dtype=np.int32), [1] + [1 << k for k in range(d)])
+def _bit_length(x: np.ndarray) -> np.ndarray:
+    """int.bit_length of each element of a non-negative int32 array, as
+    int32: frexp's exponent, exact since float64 holds every int32."""
+    return np.frexp(x)[1]
 
 
 def _lockstep(n: int, src, dst, row, step):
@@ -290,15 +286,17 @@ def _lockstep(n: int, src, dst, row, step):
 
 
 def _route_batch(overlay: Overlay, alive: np.ndarray, src, dst, row=0):
-    """Greedy routes for whole pair arrays by the metric or span rule.
+    """Greedy routes for whole pair arrays, for every geometry.
 
-    A pair steps to its alive link with the smallest metric to the target
-    among links that strictly decrease it (XOR distance, or clockwise
-    distance when the overlay has offsets), or dead-ends; tree scores only
-    the link of the leftmost differing bit, and symphony takes its longest
-    alive span that does not overshoot.  alive is one aliveness mask over
-    the N nodes or a rows x N stack of them, and pair i routes over row[i].
-    Returns per-pair (delivered, hops, capped) arrays.
+    symphony takes its longest alive span that does not overshoot.  tree,
+    hypercube and xor take the highest alive bit of node ^ dst (tree:
+    only the leftmost differing bit).  ring takes finger L when it is
+    alive and does not overshoot, L being the bit length of the clockwise
+    distance, else the highest alive finger below L, which never
+    overshoots.  These four read each node's alive links from one word
+    (_alive_link_words).  alive is one aliveness mask over the N nodes or
+    a rows x N stack of them, and pair i routes over row[i].  Returns
+    per-pair (delivered, hops, capped) arrays.
     """
     d, n = overlay.spec.d, overlay.n_nodes
     alive = np.ravel(alive)
@@ -321,24 +319,53 @@ def _route_batch(overlay: Overlay, alive: np.ndarray, src, dst, row=0):
 
         return _lockstep(n, src, dst, row, step)
 
-    clockwise = overlay.offsets is not None
-    bit_length = _bit_lengths(d) if overlay.spec.kind is Geometry.TREE else None
+    ring = overlay.offsets is not None
+    tree = overlay.spec.kind is Geometry.TREE
+    targets = np.ravel(overlay.targets)
+    offsets = np.ravel(overlay.offsets) if ring else None
+    words = _alive_link_words(overlay, alive, np.size(src))
 
     def step(node, goal, base):
-        here = (goal - node) & (n - 1) if clockwise else node ^ goal
-        if bit_length is None:
-            links = overlay.targets.take(node, axis=0)
+        links = words(node, base)
+        first = node * d
+        if ring:
+            here = (goal - node) & (n - 1)
+            top = _bit_length(here) - 1
+            take_top = (links >> top) & 1 & (offsets.take(first + top) <= here)
+            bit = np.where(take_top, top, _bit_length(links & ((1 << top) - 1)) - 1)
+            column = bit
         else:
-            # Column c flips bit d - 1 - c.
-            links = overlay.targets[node, d - bit_length.take(here)][:, None]
-        metric = (goal[:, None] - links) & (n - 1) if clockwise else links ^ goal[:, None]
-        # Metrics are below n = 2^d, so n on a dead link rules it out.
-        metric = np.where(alive.take(base[:, None] + links), metric, n)
-        best = metric.argmin(axis=1)[:, None]
-        dead = np.take_along_axis(metric, best, axis=1)[:, 0] >= here
-        return np.take_along_axis(links, best, axis=1)[:, 0], dead
+            here = node ^ goal
+            if tree:
+                here = 1 << (_bit_length(here) - 1)
+            bit = _bit_length(links & here) - 1
+            column = d - 1 - bit
+        # A dead end's column is -1 or d; clip keeps its unused gather in bounds.
+        return targets.take(first + column, mode="clip"), bit < 0
 
     return _lockstep(n, src, dst, row, step)
+
+
+def _alive_link_words(overlay: Overlay, alive: np.ndarray, pairs: int):
+    """words(node, base): the alive-link words of nodes, each in the row
+    that starts at base of the flat rows x N aliveness table alive.
+
+    Bit b of a word is set when the link that flips bit b (tree,
+    hypercube, xor) or finger b + 1 (ring) is alive.  While rows x N is
+    at most MASK_NODES_PER_PAIR x pairs, every row is packed once up
+    front; otherwise each call gathers its nodes' links.
+    """
+    if alive.size <= MASK_NODES_PER_PAIR * pairs:
+        packed = np.ravel(_pack_alive_links(overlay, alive))
+        return lambda node, base: packed.take(base + node)
+    d, targets = overlay.spec.d, overlay.targets
+    column_bit = np.arange(d) if overlay.offsets is not None else np.arange(d - 1, -1, -1)
+    weights = np.left_shift(1, column_bit, dtype=np.int32)
+
+    def gathered(node, base):
+        return alive.take(base[:, None] + targets.take(node, axis=0)) @ weights
+
+    return gathered
 
 
 def _pack_alive_links(overlay: Overlay, alive: np.ndarray) -> np.ndarray:
@@ -353,44 +380,6 @@ def _pack_alive_links(overlay: Overlay, alive: np.ndarray) -> np.ndarray:
         bit = c if ring else d - 1 - c
         packed |= np.left_shift(alive.take(column, axis=1), bit, dtype=np.int32)
     return packed
-
-
-def _route_mask(overlay: Overlay, alive: np.ndarray, src, dst, row=0):
-    """_route_batch for tree, hypercube, xor and ring by the mask rule.
-
-    A pair takes the highest alive bit of node ^ dst (tree: only the
-    leftmost differing bit); on the ring, finger L when it is alive and
-    does not overshoot, L being the bit length of the clockwise distance,
-    else the highest alive finger below L, which never overshoots.  Bit
-    lengths come from an N-entry table.
-    """
-    d, n = overlay.spec.d, overlay.n_nodes
-    ring = overlay.offsets is not None
-    tree = overlay.spec.kind is Geometry.TREE
-    packed = np.ravel(_pack_alive_links(overlay, alive))
-    targets = np.ravel(overlay.targets)
-    offsets = np.ravel(overlay.offsets) if ring else None
-    bit_length = _bit_lengths(d)
-
-    def step(node, goal, base):
-        links = packed.take(base + node)
-        first = node * d
-        if ring:
-            here = (goal - node) & (n - 1)
-            top = bit_length.take(here) - 1
-            take_top = (links >> top) & 1 & (offsets.take(first + top) <= here)
-            bit = np.where(take_top, top, bit_length.take(links & ((1 << top) - 1)) - 1)
-            column = bit
-        else:
-            here = node ^ goal
-            if tree:
-                here = 1 << (bit_length.take(here) - 1)
-            bit = bit_length.take(links & here) - 1
-            column = d - 1 - bit
-        # A dead end's column is -1 or d; clip keeps its unused gather in bounds.
-        return targets.take(first + column, mode="clip"), bit < 0
-
-    return _lockstep(n, src, dst, row, step)
 
 
 def route(overlay: Overlay, pattern: FailurePattern, src: int, dst: int) -> RouteResult:
@@ -486,10 +475,8 @@ def estimate_sweep(
     for q in qs:
         _check_q(q)
     n = spec.n_nodes
-    per_pair = MASK_NODES_PER_PAIR.get(spec.kind, 0)
-    router = _route_mask if n <= per_pair * pairs_per_trial else _route_batch
     # q points per router call: its routes, aliveness flags and packed
-    # masks (rows x pairs, rows x N) stay bounded, as for a single q.
+    # words (rows x pairs, rows x N) stay bounded, as for a single q.
     group = max(1, MAX_PAIRS_PER_TRIAL // max(pairs_per_trial, n))
     delivered = np.zeros((len(qs), trials), dtype=np.int64)
     hop_cap_hits = np.zeros(len(qs), dtype=np.int64)
@@ -513,7 +500,7 @@ def estimate_sweep(
                 redrawn[first + row] += attempt
                 src[row], dst[row] = _sample_pairs(alive[row], pairs_per_trial, pair_seed)
             rows = np.repeat(np.arange(len(chunk)), pairs_per_trial)
-            got, _, capped = router(overlay, alive, src.reshape(-1), dst.reshape(-1), rows)
+            got, _, capped = _route_batch(overlay, alive, src.reshape(-1), dst.reshape(-1), rows)
             done = slice(first, first + len(chunk))
             delivered[done, trial] = np.count_nonzero(got.reshape(len(chunk), -1), axis=1)
             hop_cap_hits[done] += np.count_nonzero(capped.reshape(len(chunk), -1), axis=1)

@@ -52,7 +52,7 @@ GOLDEN = [
     ),
     (
         # The benchmark's sim-d12-sweep grid at 2 trials: tree, hypercube,
-        # xor and ring route on the mask path, symphony on the metric path.
+        # xor and ring pack their alive-link words, symphony walks its spans.
         "compare-d12",
         "compare --geometry all --d 12 --trials 2 --seed 1",
         "c8a6bd1347598c430f31c0f1730c46c181db950f61dcea6b5f622f44e4bcc3f3",

@@ -14,12 +14,10 @@ import pytest
 from dhtroutability import simulator
 from dhtroutability.geometry import ALL_GEOMETRIES, Geometry, GeometrySpec
 from dhtroutability.simulator import (
-    MASK_NODES_PER_PAIR,
     SimOutcome,
     SimSeeds,
     _child_seed,
     _route_batch,
-    _route_mask,
     build_overlay,
     draw_failure_pattern,
     estimate_routability,
@@ -32,8 +30,6 @@ Q_GRID = tuple(round(0.05 * i, 10) for i in range(11))
 
 def reference_estimate(spec, q, trials, pairs_per_trial, seeds, builder=build_overlay):
     """The per-q estimator loop, verbatim apart from its budget checks."""
-    per_pair = MASK_NODES_PER_PAIR.get(spec.kind, 0)
-    router = _route_mask if spec.n_nodes <= per_pair * pairs_per_trial else _route_batch
     fractions = []
     hop_cap_hits = 0
     redrawn = 0
@@ -59,7 +55,7 @@ def reference_estimate(spec, q, trials, pairs_per_trial, seeds, builder=build_ov
         while collision.any():
             dst_idx[collision] = pair_rng.integers(0, n_alive, size=int(collision.sum()))
             collision = src_idx == dst_idx
-        delivered, _, capped = router(
+        delivered, _, capped = _route_batch(
             overlay, pattern.alive, survivors[src_idx], survivors[dst_idx]
         )
         # Release this trial's tables so only one overlay is alive at a time.
@@ -97,15 +93,15 @@ def _assert_sweep_matches(spec, qs, trials, pairs):
 @pytest.mark.parametrize("d", [1, 4, 8])
 @pytest.mark.parametrize("pairs", [20, 100])
 def test_sweep_matches_per_q_loop(kind, d, pairs):
-    # At d = 8 (N = 256), 20 pairs per trial sit below every mask
-    # crossover and 100 at or above it; d = 1 and 4 always take the mask.
+    # At d = 8 (N = 256), 20 pairs per trial gather the alive-link words
+    # per hop and 100 pack them; d = 1 and 4 always pack.
     spec = GeometrySpec(kind, d)
     _assert_sweep_matches(spec, Q_GRID, 3, pairs)
 
 
-@pytest.mark.parametrize("kind", list(MASK_NODES_PER_PAIR))
+@pytest.mark.parametrize("kind", [Geometry.TREE, Geometry.HYPERCUBE, Geometry.XOR, Geometry.RING])
 def test_d8_pair_counts_straddle_the_mask_crossover(kind):
-    factor = MASK_NODES_PER_PAIR[kind]
+    factor = simulator.MASK_NODES_PER_PAIR
     assert 20 * factor < GeometrySpec(kind, 8).n_nodes <= 100 * factor
 
 
@@ -152,14 +148,12 @@ def test_router_calls_stay_within_max_pairs(kind, d, monkeypatch):
     cap = 100 if d == 5 else 600
     want = estimate_sweep(spec, Q_GRID, 3, 40, SEEDS)
     calls = []
-    for name in ("_route_mask", "_route_batch"):
-        original = getattr(simulator, name)
 
-        def counted(overlay, alive, src, dst, row, _f=original):
-            calls.append((len(src), np.size(alive)))
-            return _f(overlay, alive, src, dst, row)
+    def counted(overlay, alive, src, dst, row):
+        calls.append((len(src), np.size(alive)))
+        return _route_batch(overlay, alive, src, dst, row)
 
-        monkeypatch.setattr(simulator, name, counted)
+    monkeypatch.setattr(simulator, "_route_batch", counted)
     monkeypatch.setattr(simulator, "MAX_PAIRS_PER_TRIAL", cap)
     assert estimate_sweep(spec, Q_GRID, 3, 40, SEEDS) == want
     assert len(calls) == 3 * math.ceil(len(Q_GRID) / 2)
