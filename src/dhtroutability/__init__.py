@@ -15,6 +15,7 @@ from .analytic import (
     expected_reach,
     hazard_series,
     routability,
+    routability_sweep,
     tree_closed_form,
 )
 from .geometry import (
@@ -62,6 +63,7 @@ __all__ = [
     "expected_reach",
     "hazard_series",
     "routability",
+    "routability_sweep",
     "route",
     "tree_closed_form",
 ]

@@ -27,20 +27,24 @@ and routability divides E[S] by one of two survivor-count conventions
 n(h)/2^d and products accumulate in the log domain, which keeps d = 100
 evaluations stable.
 
-hazard_series is the one definition of Q(m) for every geometry, and
-cumulative_success the one place the product is formed; success_series
-and the scalability classifier both go through them.  The closed-form
-approximations of the xor and symphony hazards live in the tests that
-compare them against these exact sums.
+hazard_table is the one definition of Q(m), a phases x q table whose
+column j is the scalar recurrence run at qs[j], bit for bit, and
+cumulative_success the one place the product is formed.  hazard_series
+is one column, and routability and expected_reach are one point of
+routability_sweep.  Only the loop's own roundings are re-run: np.cumsum
+and np.cumprod accumulate left to right, and elementwise +, * and /
+round like Python floats; np.sum, closed forms such as xor's
+P(m) * sum 1/P(k) - 1, and np.power for a scalar ** or math.exp would
+round differently.  exp and log1p act per element, so a range they skip
+changes no other bit.  The closed-form approximations of the xor and
+symphony hazards live in the tests that compare them with these sums.
 
-Long series (the classifier's 10,000 phases) are evaluated as a short
-scalar head and a numpy tail that is bit-for-bit the same as running the
-scalar recurrence to the end.  The tail only re-runs the loop's own
-sequence of roundings: np.cumsum and np.cumprod accumulate left to right
-like the loop, and elementwise +, * and / round like Python floats.
-np.sum (pairwise), closed forms such as xor's P(m) * sum 1/P(k) - 1, and
-np.power in place of a scalar ** or math.exp would each round
-differently, so none of them is used on a term the loop computes.
+Long series (the classifier's 10,000 phases) stop where the computed
+values turn exactly constant, never at a bound: q^m at a fixed point of
+x -> x * q (0 for q <= 0.5; for q > 0.5 the subnormal 5e-324, or a small
+multiple of it near q = 1, which rounds back to itself); a log sum once
+a hazard that repeats to the end leaves it unchanged; and a product once
+its sum falls below exp underflow, sparing slow subnormals and exp.
 """
 
 from __future__ import annotations
@@ -64,11 +68,6 @@ from .geometry import (
 # any surviving factor drops below this threshold.
 _DIRECT_PRODUCT_MAX_H = 64
 _DIRECT_PRODUCT_MIN_FACTOR = 1e-12
-
-# The xor and ring loops hand the rest of a series to numpy once it has
-# become an exact running sum or product, if at least this many phases
-# remain; a shorter tail costs less in the loop.
-_MIN_VECTOR_TAIL = 64
 
 
 class DenominatorMode(str, Enum):
@@ -135,119 +134,148 @@ def symphony_phase_failure(q: float, d: int, k_n: int, k_s: int) -> float:
 
 
 def hazard_series(spec: GeometrySpec, q: float, m_max: int) -> np.ndarray:
-    """Q(1..m_max) for the geometry, as a float array.
+    """Q(1..m_max) for the geometry at one q: hazard_table's one column."""
+    return hazard_table(spec, (q,), m_max)[:, 0]
+
+
+def hazard_table(spec: GeometrySpec, qs, m_max: int) -> np.ndarray:
+    """Q(1..m_max) at every q of qs, as a phases x q table.
 
     xor runs the recurrence for q^m + sum_{k=1..m-1} q^m
     prod_{j=m-k..m-1}(1-q^j): each k-term is one more wasted lower-bit
     correction before all remaining useful neighbors are found dead.
     ring sums q^m * w^k over the up to 2^(m-1) progress-free hops a phase
     may waste, with the huge power w^(2^(m-1)) evaluated as
-    exp(2^(m-1) * ln w) and underflow to zero accepted.
+    exp(2^(m-1) * ln w) and underflow to zero accepted.  m_max may exceed
+    spec.d; symphony holds d fixed inside Q.
 
-    m_max may exceed spec.d: the per-phase formulas extend naturally to
-    arbitrary horizons, with symphony holding d fixed inside Q.
-
-    Head and tail: once 1 - q^(m-1) rounds to 1 it stays 1, and from
-    there xor's recurrence is extra = 1 + extra, a running sum (np.cumsum
-    of ones), while ring's w equals q and its huge power is 0, so its Q
-    is q^m / (1 - q).  q^m continues as np.cumprod seeded with the loop's
-    own q^m.  The loop hands over there when at least _MIN_VECTOR_TAIL
-    phases remain (~55 steps at q = 0.5, ~730 at q = 0.95).  hypercube's
-    q^m is computed only while m * log2(1/q) <= 1076; past that it lies
-    below half the smallest subnormal and is 0.
+    xor's extra term runs as a scalar loop down each column until every
+    1 - q^(m-1) has rounded to 1, then as extra = 1 + extra, a running
+    sum.  ring calls the scalar _pow_of_power_of_two per element until its
+    column's w equals q and the huge power is 0, both for good.
+    hypercube's q^m is computed while m * log2(1/q) <= 1076; past that it
+    lies below half the smallest subnormal and is 0.
     """
-    _validate_q(q)
+    qs = tuple(qs)
+    for x in qs:
+        _validate_q(x)
     if m_max < 1:
         raise ValueError(f"horizon must be >= 1, got {m_max}")
     kind = spec.kind
+    q = np.array(qs, dtype=float)
     if kind is Geometry.TREE:
-        return np.full(m_max, q, dtype=float)
-    if kind is Geometry.HYPERCUBE:
-        nonzero = 0 if q == 0.0 else min(m_max, math.floor(1076.0 / -math.log2(q)))
-        with np.errstate(under="ignore"):
-            head = q ** np.arange(1, nonzero + 1, dtype=float)
-        return _extend(head, m_max, 0.0)
+        return np.full((m_max, len(q)), q)
     if kind is Geometry.SYMPHONY:
-        const = symphony_phase_failure(q, spec.d, spec.k_n, spec.k_s)
-        return np.full(m_max, const, dtype=float)
-    out = np.empty(m_max, dtype=float)
-    out[0] = q
-    last_handover = m_max - _MIN_VECTOR_TAIL
-    if kind is Geometry.XOR:
-        extra = 0.0
-        q_prev = 1.0  # q^(m-1)
-        q_m = q
-        for m in range(2, m_max + 1):
-            q_prev *= q
-            q_m *= q
-            keep = 1.0 - q_prev
-            if keep == 1.0 and m <= last_handover:
-                # From here on extra = 1 + extra exactly, a running sum.
-                extras = np.ones(m_max - m + 1)
-                extras[0] = 1.0 + extra
-                np.cumsum(extras, out=extras)
-                out[m - 1 :] = _geometric_tail(q_m, q, len(extras)) * (1.0 + extras)
-                break
-            extra = keep * (1.0 + extra)
-            out[m - 1] = q_m * (1.0 + extra)
+        per_phase = [symphony_phase_failure(x, spec.d, spec.k_n, spec.k_s) for x in qs]
+        return np.full((m_max, len(q)), per_phase)
+    if kind is Geometry.HYPERCUBE:
+        out = np.zeros((m_max, len(q)))
+        for j, x in enumerate(q.tolist()):
+            nonzero = 0 if x == 0.0 else min(m_max, math.floor(1076.0 / -math.log2(x)))
+            with np.errstate(under="ignore"):
+                out[:nonzero, j] = x ** np.arange(1, nonzero + 1, dtype=float)
         return out
+    powers, fixed = _powers(q, m_max)
+    # Row i is phase m = i + 1, whose factor 1 - q^(m-1) is keep[i].
+    keep = np.concatenate((np.zeros((1, len(q))), 1.0 - powers[:-1]))
+    if kind is Geometry.XOR:
+        head = _first_row(keep == 1.0)
+        extra = np.ones_like(powers)
+        for j, factors in enumerate(keep[1:head].T):
+            column = [0.0]
+            for k in factors.tolist():
+                column.append(k * (1.0 + column[-1]))
+            extra[:head, j] = column
+        # From row head on, keep is 1 and extra = 1 + extra: a running sum.
+        np.cumsum(extra[head - 1 :], axis=0, out=extra[head - 1 :])
+        return powers * np.add(1.0, extra, out=extra)
     if kind is Geometry.RING:
-        q_prev = 1.0
-        q_m = q
-        for m in range(2, m_max + 1):
-            q_prev *= q
-            q_m *= q
-            if q_m == 0.0:
-                out[m - 1 :] = 0.0
-                break
-            w = q * (1.0 - q_prev)
-            if w == 0.0:
-                out[m - 1] = q_m
-                continue
-            tail = _pow_of_power_of_two(w, m - 1)
-            if w == q and tail == 0.0 and m <= last_handover:
-                # Both hold from here on, so Q(m) = q^m / (1 - q).
-                out[m - 1 :] = _geometric_tail(q_m, q, m_max - m + 1) / (1.0 - q)
-                break
-            out[m - 1] = q_m * (1.0 - tail) / (1.0 - w)
+        w = q * keep
+        # w only grows towards q, so from row steady on it is q itself.
+        steady = _first_row(w == q)
+        tail = np.zeros_like(powers)
+        calls = 1  # rows up to the last that called the power
+        for j, (column, x) in enumerate(zip(w[:steady].T, q.tolist())):
+            column, values = column.tolist(), []
+            for i in range(1, m_max):
+                w_i = column[i] if i < steady else x
+                t = _pow_of_power_of_two(w_i, i)
+                if t == 0.0 and w_i == x:
+                    break  # both hold for good: this column has handed over
+                values.append(t)
+            tail[1 : len(values) + 1, j] = values
+            calls = max(calls, len(values) + 1)
+        # From row live - 1 on, the powers, w and the tail repeat, so Q does.
+        live = min(m_max, max(fixed + 2, calls + 1))
+        out = np.empty_like(powers)
+        out[:live] = powers[:live] * (1.0 - tail[:live]) / (1.0 - w[:live])
+        out[live:] = out[live - 1]
         return out
     raise ValueError(f"unknown geometry kind: {kind}")
 
 
-def _geometric_tail(first: float, ratio: float, count: int) -> np.ndarray:
-    """first * ratio^k for k = 0..count-1, multiplied in sequence."""
-    powers = np.full(count, ratio)
-    powers[0] = first
+def _first_row(mask: np.ndarray) -> int:
+    """Index of the first row of mask that is all true, or its length."""
+    rows = mask.all(axis=1)
+    return int(np.argmax(rows)) if rows.any() else len(rows)
+
+
+def _powers(q: np.ndarray, count: int) -> tuple[np.ndarray, int]:
+    """q^1..q^count down each column, multiplied in sequence in doubling
+    chunks, and the row from which all columns repeat (or count): each
+    stops at a fixed point of x -> x * q (see the module docstring)."""
+    out = np.full((count, len(q)), q)
+    end, chunk = 1, 256
     with np.errstate(under="ignore"):
-        return np.cumprod(powers, out=powers)
+        while end < count:
+            if (out[end - 1] * q == out[end - 1]).all():
+                out[end:] = out[end - 1]
+                return out, end - 1
+            start, end = end - 1, min(count, end + chunk)
+            np.cumprod(out[start:end], axis=0, out=out[start:end])
+            chunk *= 2
+    return out, count
 
 
 def cumulative_success(hazards: np.ndarray) -> np.ndarray:
-    """p(1..len(hazards)): cumulative products of (1 - Q(m)).
+    """p(1..m): cumulative products of (1 - Q(m)) down each column.
 
-    Accumulates in the log domain past 64 phases or when any surviving
-    factor drops below 1e-12.  There the sum stops at the last nonzero
-    hazard: log1p(-0) adds nothing, so p stays flat after it.
+    hazards is one series or a phases x q table.  A column multiplies its
+    factors directly up to 64 phases while every factor is at least 1e-12,
+    and otherwise takes exp of a log1p(-Q) sum, which stops where p turns
+    exactly constant: at the first row of a repeating tail (zeros, or
+    ring's subnormal) whose term left every sum unchanged, and at the
+    first of every 64th row whose p are all 0 (the sums only fall).
     """
-    if len(hazards) <= _DIRECT_PRODUCT_MAX_H:
-        factors = 1.0 - hazards
-        if factors.min() >= _DIRECT_PRODUCT_MIN_FACTOR:
-            return np.cumprod(factors)
-    stop = len(hazards)
-    if hazards[-1] == 0.0:
-        stop = int(np.max(np.flatnonzero(hazards), initial=0)) + 1
+    table = hazards.reshape(len(hazards), -1)
+    if len(table) > _DIRECT_PRODUCT_MAX_H:
+        return _log_domain_success(table).reshape(hazards.shape)
+    factors = 1.0 - table
+    p = np.cumprod(factors, axis=0)
+    log_domain = factors.min(axis=0) < _DIRECT_PRODUCT_MIN_FACTOR
+    if log_domain.any():
+        p[:, log_domain] = _log_domain_success(table[:, log_domain])
+    return p.reshape(hazards.shape)
+
+
+def _log_domain_success(hazards: np.ndarray) -> np.ndarray:
+    """exp(cumsum(log1p(-hazards))) down each column, stopped where it
+    turns constant (see cumulative_success)."""
+    count = len(hazards)
+    # Rows from stop - 1 on equal the last (stop is count + 1 if none do).
+    differs = (hazards != hazards[-1]).any(axis=1)
+    stop = count + 1 - int(np.argmax(differs[::-1]))
     # A hazard of exactly 1 (q within an ulp of 1) gives log1p(-1) = -inf
     # and p = 0 from there on, as it should.
     with np.errstate(under="ignore", divide="ignore"):
-        p = np.exp(np.cumsum(np.log1p(-hazards[:stop])))
-    return _extend(p, len(hazards), p[-1])
-
-
-def _extend(head: np.ndarray, length: int, fill: float) -> np.ndarray:
-    """head followed by copies of fill up to length entries."""
-    if len(head) == length:
-        return head
-    return np.concatenate((head, np.full(length - len(head), fill)))
+        sums = np.cumsum(np.log1p(-hazards[:stop]), axis=0)
+        if stop < count and (sums[-1] != sums[-2]).any():  # the term still moves a sum
+            sums = np.cumsum(np.log1p(-hazards), axis=0)
+        end = min(len(sums), 64 * _first_row(np.exp(sums[::64]) == 0.0) + 1)
+        p = np.empty_like(hazards)
+        np.exp(sums[:end], out=p[:end])
+    p[end:] = p[end - 1]
+    return p
 
 
 def success_series(spec: GeometrySpec, q: float, h_max: int) -> np.ndarray:
@@ -261,10 +289,14 @@ def expected_reach(spec: GeometrySpec, q: float) -> float:
     Returns the exact expectation for d <= 20 and the 2^d-normalized
     value for larger d (matching the profile's normalization).
     """
-    _validate_q(q)
-    profile = distance_profile(spec)
-    p = success_series(spec, q, spec.d)
-    return math.fsum(map(operator.mul, profile.values, p.tolist()))
+    return _expected_reaches(spec, (q,))[0]
+
+
+def _expected_reaches(spec: GeometrySpec, qs) -> list[float]:
+    """E[S] at every q of qs, one math.fsum per column of one table."""
+    profile = distance_profile(spec).values
+    p = cumulative_success(hazard_table(spec, qs, spec.d))
+    return [math.fsum(map(operator.mul, profile, column.tolist())) for column in p.T]
 
 
 @dataclass(frozen=True)
@@ -296,43 +328,51 @@ def routability(
     is not positive; EXACT_SURVIVORS divides by (2^d - 1)*(1-q).  For
     d > 20 the ratio is formed from normalized quantities.
     """
-    _validate_q(q)
+    (result,) = routability_sweep(spec, (q,), mode)
+    if isinstance(result, ValueError):
+        raise result
+    return result
+
+
+def routability_sweep(
+    spec: GeometrySpec, qs, mode: DenominatorMode = DenominatorMode.PN_MINUS_ONE
+) -> list[RoutabilityResult | ValueError]:
+    """routability at every q of qs, from one hazard table.
+
+    Each entry is that q's RoutabilityResult, or the ValueError that
+    routability raises at it, so that one bad q does not end the sweep.
+    """
+    qs = tuple(qs)
     mode = DenominatorMode(mode)
-    reach = expected_reach(spec, q)
-    normalized = spec.d > EXACT_PROFILE_MAX_D
-    p_alive = 1.0 - q
-    if normalized:
-        inv_n = math.ldexp(1.0, -spec.d)
-        pn_denominator = p_alive - inv_n
-        exact_denominator = (1.0 - inv_n) * p_alive
-    else:
-        n = 1 << spec.d
-        pn_denominator = p_alive * n - 1.0
-        exact_denominator = (n - 1) * p_alive
-    if mode is DenominatorMode.PN_MINUS_ONE and pn_denominator <= 0.0:
-        raise ValueError(
-            f"degenerate denominator: (1-q)*2^d <= 1 at d={spec.d}, q={q}; "
-            "fewer than one expected survivor besides the root"
-        )
-    denominator = (
-        pn_denominator if mode is DenominatorMode.PN_MINUS_ONE else exact_denominator
-    )
-    r = reach / denominator
-    clamped = False
-    if r > 1.0:
-        r, clamped = 1.0, True
-    elif r < 0.0:
-        r, clamped = 0.0, True
-    return RoutabilityResult(
-        spec=spec,
-        q=q,
-        routability=r,
-        failed_fraction=1.0 - r,
-        expected_reach=reach,
-        denominator_mode=mode,
-        clamped=clamped,
-        reach_normalized=normalized,
-    )
+    pn = mode is DenominatorMode.PN_MINUS_ONE
+    # N and one node, as counts or (d > 20) as fractions of 2^d.
+    n, one = (1.0, math.ldexp(1.0, -spec.d)) if spec.d > EXACT_PROFILE_MAX_D else (1 << spec.d, 1.0)
+    results: list = []  # each q's denominator or error, then its result
+    for q in qs:
+        try:
+            _validate_q(q)
+            den = (1.0 - q) * n - one if pn else (n - one) * (1.0 - q)
+            if den <= 0.0:  # only (1-q)*N - 1 can be
+                raise ValueError(
+                    f"degenerate denominator: (1-q)*2^d <= 1 at d={spec.d}, q={q}; "
+                    "fewer than one expected survivor besides the root"
+                )
+            results.append(den)
+        except ValueError as exc:
+            results.append(exc)
+    valid = [q for q, den in zip(qs, results) if not isinstance(den, ValueError)]
+    reaches = iter(_expected_reaches(spec, valid) if valid else ())
+    for k, (q, den) in enumerate(zip(qs, results)):
+        if not isinstance(den, ValueError):
+            reach = next(reaches)
+            raw = reach / den  # >= 0, as reach >= 0 and den > 0
+            r = min(raw, 1.0)
+            results[k] = RoutabilityResult(
+                spec=spec, q=q, routability=r, failed_fraction=1.0 - r, expected_reach=reach,
+                denominator_mode=mode, clamped=raw > 1.0,
+                reach_normalized=spec.d > EXACT_PROFILE_MAX_D,
+            )
+    return results
 
 
 def tree_closed_form(d: int, q: float) -> float:

@@ -21,7 +21,7 @@ import sys
 from dataclasses import dataclass
 
 from . import __version__
-from .analytic import DenominatorMode, routability
+from .analytic import DenominatorMode, routability_sweep
 from .geometry import ALL_GEOMETRIES, MAX_D, Geometry, GeometrySpec
 from .reporting import COLUMNS, render
 from .scalability import classify
@@ -35,8 +35,9 @@ from .simulator import (
     estimate_sweep,
 )
 
-# Not called here since the grid runs one estimate_sweep per geometry, but
-# kept importable: bench/tracing.py swaps this name for a timed wrapper.
+# Not called here since the grid runs one sweep per (geometry, d), but kept
+# importable: bench/tracing.py swaps these names for timed wrappers.
+from .analytic import routability  # noqa: F401
 from .simulator import estimate_routability  # noqa: F401
 
 COMMANDS = ("analytic", "simulate", "compare", "asymptotic", "scalability")
@@ -166,15 +167,16 @@ class ExperimentConfig:
         return meta
 
 
-def _analytic_cells(config: ExperimentConfig, spec: GeometrySpec, q: float, sim) -> dict:
-    res = routability(spec, q, config.denominator_mode)
+def _analytic_cells(config: ExperimentConfig, spec: GeometrySpec, q: float, res, sim) -> dict:
+    if isinstance(res, ValueError):
+        raise res
     return {
         "analytic_routability": res.routability,
         "analytic_failed_fraction": res.failed_fraction,
     }
 
 
-def _sim_cells(config: ExperimentConfig, spec: GeometrySpec, q: float, sim) -> dict:
+def _sim_cells(config: ExperimentConfig, spec: GeometrySpec, q: float, res, sim) -> dict:
     if isinstance(sim, ValueError):
         raise sim
     seeds = sim.seeds
@@ -186,7 +188,7 @@ def _sim_cells(config: ExperimentConfig, spec: GeometrySpec, q: float, sim) -> d
     }
 
 
-def _verdict_cells(config: ExperimentConfig, spec: GeometrySpec, q: float, sim) -> dict:
+def _verdict_cells(config: ExperimentConfig, spec: GeometrySpec, q: float, res, sim) -> dict:
     verdict = classify(spec, q)
     cells = {"verdict": verdict.verdict.value, "limit_estimate": verdict.limit_estimate}
     cells.update((f"sum_q_at_{h}", total) for h, total in verdict.partial_sums)
@@ -196,8 +198,8 @@ def _verdict_cells(config: ExperimentConfig, spec: GeometrySpec, q: float, sim) 
 
 
 #: The stages that fill one row of each command, in order.  Each takes the
-#: row's (config, spec, q, sim), sim being the row's simulated outcome (or
-#: the error its sweep raised) for simulate and compare, None otherwise.
+#: row's (config, spec, q, res, sim): its analytic result and simulated
+#: outcome, or the error their sweep gave at q; None where no stage reads them.
 _STAGES = {
     "analytic": (_analytic_cells,),
     "simulate": (_sim_cells,),
@@ -245,9 +247,10 @@ def run_grid(config: ExperimentConfig) -> tuple[list[dict], list[str]]:
 
     Each row runs its command's stages in order; a stage's ValueError
     goes into the row's error and ends that row, and the grid continues.
-    simulate and compare run one estimate_sweep over the whole q grid per
-    (geometry, d); a ValueError from it becomes the error of each of its
-    rows that reaches the simulate stage.
+    The analytic and simulate stages read their row's entry from one
+    sweep over the whole q grid per (geometry, d): routability_sweep and
+    estimate_sweep.  A ValueError in that entry becomes the row's error
+    when the row reaches the stage.
     """
     command = config.command
     if command != "asymptotic" and len(config.d_values) != 1:
@@ -261,14 +264,18 @@ def run_grid(config: ExperimentConfig) -> tuple[list[dict], list[str]]:
     for kind in config.geometries:
         for d in config.d_values:
             spec = config.spec_for(kind, d)
-            simulated = _sim_cells in _STAGES[command]
-            sims = _simulate(config, spec, qs) if simulated else [None] * len(qs)
-            for q, sim in zip(qs, sims):
+            stages = _STAGES[command]
+            results = sims = [None] * len(qs)
+            if _analytic_cells in stages:
+                results = routability_sweep(spec, qs, config.denominator_mode)
+            if _sim_cells in stages:
+                sims = _simulate(config, spec, qs)
+            for q, res, sim in zip(qs, results, sims):
                 row = {"geometry": kind.value, "d": d, "n_nodes": spec.n_nodes, "q": q}
                 rows.append(row)
                 try:
-                    for stage in _STAGES[command]:
-                        row.update(stage(config, spec, q, sim))
+                    for stage in stages:
+                        row.update(stage(config, spec, q, res, sim))
                 except ValueError as exc:
                     row["error"] = str(exc)
                     continue

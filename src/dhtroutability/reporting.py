@@ -72,12 +72,12 @@ COLUMNS: dict[str, tuple[str, ...]] = {
 
 def _format_scalar(value) -> str:
     """Empty for missing, true/false for booleans, 10 significant digits for reals."""
+    if isinstance(value, float):  # most cells, so tested first
+        return format(value, ".10g")
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return format(value, ".10g")
     return str(value)
 
 

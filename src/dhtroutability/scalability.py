@@ -82,9 +82,10 @@ def classify(spec: GeometrySpec, q: float) -> ScalabilityVerdict:
         )
     horizon = EVIDENCE_HORIZONS[-1]
     hazards = hazard_series(spec, q, horizon)
-    sums = np.cumsum(hazards)
+    live = horizon - int(np.argmax(hazards[::-1] != 0.0))  # sums stop at the last nonzero
+    sums = np.cumsum(hazards[:live])
     products = cumulative_success(hazards)
-    partial_sums = tuple((m, float(sums[m - 1])) for m in EVIDENCE_HORIZONS)
+    partial_sums = tuple((m, float(sums[min(m, live) - 1])) for m in EVIDENCE_HORIZONS)
     partial_products = tuple((h, float(products[h - 1])) for h in EVIDENCE_HORIZONS)
 
     if spec.kind in _UNSCALABLE_KINDS:

@@ -8,19 +8,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dhtroutability.analytic import (
-    _MIN_VECTOR_TAIL,
     DenominatorMode,
     cumulative_success,
     expected_reach,
     hazard_series,
+    hazard_table,
     routability,
+    routability_sweep,
     suboptimal_hop_cap,
     success_series,
     symphony_phase_failure,
     tree_closed_form,
 )
 from dhtroutability.geometry import ALL_GEOMETRIES, Geometry, GeometrySpec
-from dhtroutability.scalability import classify
+from dhtroutability.scalability import EVIDENCE_HORIZONS, classify
 
 Q_GRID = (0.0, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9)
 
@@ -388,26 +389,31 @@ def test_hypercube_oracle_small_instance():
 
 # --- exact head/tail evaluation ----------------------------------------------
 #
-# hazard_series hands long xor and ring series to numpy once the recurrence
-# is an exact running sum or product, cuts hypercube's powers where they
-# underflow, and cumulative_success stops its log-domain sum at the last
-# nonzero hazard.  The references below are the plain scalar loops, the
-# full-length power and the full log-domain product; the fast paths must
-# match them bit for bit.
+# hazard_table turns xor's recurrence into a running sum once every
+# 1 - q^(m-1) rounds to 1, stops ring's scalar powers once w = q and the
+# power is 0, multiplies q^m in doubling chunks that stop at a fixed point
+# of x -> x * q, and cuts hypercube's powers where they underflow;
+# cumulative_success stops its log-domain sum where a repeating tail leaves
+# it unchanged and its exp where p reaches 0.  The references below are
+# the plain scalar loops, the full-length power and the full log-domain
+# product; the fast paths must match them bit for bit.
 #
 # Points run: every q of EXACT_Q (0, the smallest subnormal, 1e-300, 1e-5,
 # the 0.005 grid to 0.995, 0.999, 1 - 2^-20, 1 - 2^-53 and 20 seeded random
 # q), plus per q the horizons around the m where the xor or ring loop may
-# hand over (m and m + _MIN_VECTOR_TAIL, each +-1) and around hypercube's
-# zero cut (+-2).  The horizons are 1, 2, 3, 64, 65, 100 and 1,000 for
-# every q, and 10,000 for every q off the 0.005 grid and every fifth q on
-# it (the 0.025 grid): the scalar references cost ~3 ms per q at 10,000
-# phases.  Each reference series is computed once per (geometry, q) at its
-# largest horizon; shorter horizons compare against its prefix, which the
-# causal loops make exact.
+# hand over (m and m + HANDOVER_MARGIN, each +-1), around the chunk ends
+# of q^m (+-1) and around hypercube's zero cut (+-2).  The horizons are 1,
+# 2, 3, 64, 65, 100 and 1,000 for every q, and 10,000 for every q off the
+# 0.005 grid and every fifth q on it (the 0.025 grid): the scalar
+# references cost ~3 ms per q at 10,000 phases.  Each reference series is
+# computed once per (geometry, q) at its largest horizon; shorter horizons
+# compare against its prefix, which the causal loops make exact.
 
 EXACT_HORIZONS = (1, 2, 3, 64, 65, 100, 1_000)
 EXACT_HORIZON_MAX = 10_000
+HANDOVER_MARGIN = 64
+# Row counts at which the doubling chunks of q^m (256, 512, ...) end.
+CHUNK_ENDS = (257, 769, 1793, 3841, 7937)
 _EXACT_GRID = tuple(round(0.005 * i, 3) for i in range(1, 200))
 _EXACT_RNG = random.Random(20061)
 EXACT_Q = (
@@ -502,9 +508,10 @@ def _boundary_horizons(kind, q, reference):
         first_zero = int(zeros[0]) + 1 if len(zeros) else len(reference)
         return tuple(m + k for m in (cut, first_zero) for k in range(-2, 3))
     m = _handover_m(kind, q)
+    ends = tuple(b + k for b in CHUNK_ENDS for k in (-1, 0, 1))
     if m is None:
-        return ()
-    return tuple(b + k for b in (m, m + _MIN_VECTOR_TAIL) for k in (-1, 0, 1))
+        return ends
+    return ends + tuple(b + k for b in (m, m + HANDOVER_MARGIN) for k in (-1, 0, 1))
 
 
 @pytest.mark.parametrize("kind", [Geometry.XOR, Geometry.RING, Geometry.HYPERCUBE])
@@ -547,6 +554,31 @@ def test_cumulative_success_bitwise_equals_reference_with_trailing_zeros():
             assert cumulative_success(hazards).tobytes() == want.tobytes(), (length, last)
 
 
+def test_cumulative_success_bitwise_equals_reference_with_repeating_tail():
+    # A varying head, then one hazard repeated to the end: a normal one
+    # keeps moving the log sum, a subnormal one stops it at once.
+    rng = np.random.default_rng(20062)
+    for length in (65, 100, 1000, 10_000):
+        for head in (1, 2, 3, 64, length // 2, length - 1):
+            for repeated in (0.3, 1e-17, 5e-324, 0.0):
+                hazards = rng.uniform(0.05, 0.9, length)
+                hazards[head:] = repeated
+                want = _reference_cumulative_success(hazards)
+                got = cumulative_success(hazards)
+                assert got.tobytes() == want.tobytes(), (length, head, repeated)
+
+
+def test_cumulative_success_hazard_of_one_on_a_probed_row():
+    # p drops from 1 to exactly 0 on a row exp checks (every 64th), and
+    # on the rows next to it.
+    for row in (63, 64, 65, 128, 192, 999):
+        hazards = np.zeros(1000)
+        hazards[row] = 1.0
+        with np.errstate(divide="ignore"):
+            want = _reference_cumulative_success(hazards)
+            assert cumulative_success(hazards).tobytes() == want.tobytes(), row
+
+
 def test_hazard_of_one_warns_nothing():
     # At q = 1 - 2^-53 half of xor's long hazards round to exactly 1.0, so
     # log1p(-1) = -inf by design: p must fall to 0 without a warning.
@@ -561,3 +593,100 @@ def test_hazard_of_one_warns_nothing():
     assert [product for _, product in verdict.partial_products] == [0.0] * len(
         verdict.partial_products
     )
+
+
+# --- q tables, sweeps and long-horizon stops ----------------------------------
+
+TABLE_DS = (1, 2, 3, 12, 20, 21, 64, 65, 100)
+TABLE_QS = (0.0, 5e-324, 1e-5, 0.05, 0.3, 0.5, 0.505, 0.525, 0.75, 0.9, 0.95)
+
+
+def _reference_hazards(spec, q, m_max):
+    """The scalar reference series of any geometry."""
+    if spec.kind is Geometry.XOR:
+        return _reference_xor(q, m_max)
+    if spec.kind is Geometry.RING:
+        return _reference_ring(q, m_max)
+    if spec.kind is Geometry.HYPERCUBE:
+        return _reference_hypercube(q, m_max)
+    if spec.kind is Geometry.TREE:
+        return np.full(m_max, q)
+    return np.full(m_max, symphony_phase_failure(q, spec.d, spec.k_n, spec.k_s))
+
+
+@pytest.mark.parametrize("kind", ALL_GEOMETRIES)
+def test_hazard_table_columns_bitwise_equal_single_q_and_reference(kind):
+    # Each column of a many-q table is the one-q series and the scalar
+    # reference, at the spec's own horizon and past the first chunk end.
+    for d in TABLE_DS:
+        spec = GeometrySpec(kind, d)
+        for m_max in (d, 300):
+            table = hazard_table(spec, TABLE_QS, m_max)
+            with np.errstate(divide="ignore"):
+                p = cumulative_success(table)
+            assert table.shape == p.shape == (m_max, len(TABLE_QS))
+            for j, q in enumerate(TABLE_QS):
+                want = _reference_hazards(spec, q, m_max)
+                assert table[:, j].tobytes() == want.tobytes(), (d, m_max, q)
+                assert hazard_series(spec, q, m_max).tobytes() == want.tobytes(), (d, m_max, q)
+                assert (
+                    p[:, j].tobytes() == _reference_cumulative_success(want).tobytes()
+                ), (d, m_max, q)
+
+
+@pytest.mark.parametrize("mode", list(DenominatorMode))
+def test_routability_sweep_matches_routability_per_q(mode):
+    # Every q, including rejected ones and degenerate denominators, gets
+    # the result or the error text that routability gives it alone.
+    qs = (*TABLE_QS, 0.6, 0.8, 1.0, -0.1)
+    for kind in ALL_GEOMETRIES:
+        for d in TABLE_DS:
+            spec = GeometrySpec(kind, d)
+            swept = routability_sweep(spec, qs, mode)
+            assert len(swept) == len(qs)
+            for q, got in zip(qs, swept):
+                try:
+                    want = routability(spec, q, mode)
+                except ValueError as exc:
+                    assert isinstance(got, ValueError), (kind, d, q)
+                    assert str(got) == str(exc), (kind, d, q)
+                    continue
+                assert got == want, (kind, d, q)
+                assert got.expected_reach == expected_reach(spec, q), (kind, d, q)
+    assert routability_sweep(GeometrySpec(Geometry.TREE, 4), (), mode) == []
+    assert isinstance(routability_sweep(GeometrySpec(Geometry.TREE, 1), (0.5,))[0], ValueError)
+
+
+@pytest.mark.parametrize("kind", ALL_GEOMETRIES)
+def test_sweeps_take_a_generator_of_q(kind):
+    # Both read their q more than once, so a one-pass iterable must give
+    # what the same q in a tuple give.
+    spec = GeometrySpec(kind, 12)
+    qs = (0.0, 0.3, 0.6, -0.1)
+    assert routability_sweep(spec, iter(qs))[:3] == routability_sweep(spec, qs)[:3]
+    assert isinstance(routability_sweep(spec, iter(qs))[3], ValueError)
+    table = hazard_table(spec, iter(qs[:3]), 50)
+    assert table.shape == (50, 3)
+    assert table.tobytes() == hazard_table(spec, qs[:3], 50).tobytes()
+
+
+@pytest.mark.parametrize("kind", ALL_GEOMETRIES)
+def test_classify_long_horizon_matches_full_length_reference(kind):
+    # q = 0.3 and 0.5 drive q^m to exactly 0; from 0.505 on it sticks at a
+    # subnormal fixed point instead, and at 0.95 it never gets there.  The
+    # stopped series must give the full-length reference's evidence bits.
+    spec = GeometrySpec(kind, 16)
+    horizon = EVIDENCE_HORIZONS[-1]
+    for q in (0.3, 0.5, 0.505, 0.525, 0.9, 0.95):
+        hazards = _reference_hazards(spec, q, horizon)
+        sums = np.cumsum(hazards)
+        products = _reference_cumulative_success(hazards)
+        verdict = classify(spec, q)
+        assert verdict.partial_sums == tuple(
+            (m, float(sums[m - 1])) for m in EVIDENCE_HORIZONS
+        ), q
+        assert verdict.partial_products == tuple(
+            (h, float(products[h - 1])) for h in EVIDENCE_HORIZONS
+        ), q
+        if verdict.decay_horizon is None:
+            assert verdict.limit_estimate == float(products[-1]), q

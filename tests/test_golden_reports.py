@@ -2,7 +2,9 @@
 
 A change that keeps the random streams must reproduce these reports byte
 for byte.  A change that alters the streams on purpose updates the
-hashes and says so in CHANGES.md.
+hashes and says so in CHANGES.md.  Running this file as a script,
+``python tests/test_golden_reports.py``, prints every case's current
+sha256, so that such a change can re-pin them by command.
 """
 
 import hashlib
@@ -76,6 +78,25 @@ GOLDEN = [
         "scalability --q-start 0.005 --q-stop 0.95 --q-step 0.005",
         "183db0d5f949ac2e37ef0c63bbd065c6dc40cb31dab9c56470db5e10c832bb4d",
     ),
+    (
+        # Multi-q tables at the smallest and largest d, with 3 near links and
+        # 2 shortcuts; d = 2 has degenerate-denominator rows from q = 0.75.
+        "asymptotic-kn3-ks2",
+        "asymptotic --geometry all --d 2,3,64,65,100 --q-start 0 --q-stop 0.95 --q-step 0.05 --kn 3 --ks 2",
+        "bef72319d01d73c10604bb4b6fe98e08b68fa4c321c67ade4eddf762d2ebf65c",
+    ),
+    (
+        "asymptotic-kn3-ks2-exact",
+        "asymptotic --geometry all --d 2,3,64,65,100 --q-start 0 --q-stop 0.95 --q-step 0.05 --kn 3 --ks 2 --denominator exact",
+        "3986b67a97f67df2a14959cb65ea466817cf9f39d13db6b0ae0b573b50776aa1",
+    ),
+    (
+        # d = 1 (k_s = 1, since symphony needs k_s <= d): error rows from
+        # q = 0.5 in every geometry.
+        "asymptotic-d1-kn3",
+        "asymptotic --geometry all --d 1,2,3,64,65,100 --q-start 0 --q-stop 0.95 --q-step 0.05 --kn 3",
+        "89b4f3e3589ef63fbfd8000e41a0290e7eed1731d4e83dc11a3b77bee6165994",
+    ),
 ]
 
 
@@ -84,3 +105,20 @@ def test_golden_report(argv, digest, capsys):
     assert main(argv.split()) == 0
     report = capsys.readouterr().out
     assert hashlib.sha256(report.encode("utf-8")).hexdigest() == digest
+
+
+def current_digests():
+    """(test id, sha256 of stdout) for every case, from the code as it is."""
+    import contextlib
+    import io
+
+    for name, argv, _ in GOLDEN:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            main(argv.split())
+        yield name, hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+
+
+if __name__ == "__main__":
+    for name, digest in current_digests():
+        print(f"{digest}  {name}")
