@@ -90,11 +90,12 @@ def classify(spec: GeometrySpec, q: float) -> ScalabilityVerdict:
 
     if spec.kind in _UNSCALABLE_KINDS:
         # Constant hazard: p(h) = (1 - Q)^h, so the decay horizon has a
-        # closed form and needs no cap.
-        per_phase = float(hazards[0])
-        decay_horizon = math.ceil(
-            math.log(DECAY_THRESHOLD) / math.log1p(-per_phase)
-        )
+        # closed form and needs no cap; at some subnormal q it is infinite.
+        log_survival = math.log1p(-float(hazards[0]))
+        horizon = math.log(DECAY_THRESHOLD) / log_survival if log_survival else math.inf
+        if not math.isfinite(horizon):
+            raise ValueError(f"decay horizon is not finite at q={q}")
+        decay_horizon = math.ceil(horizon)
         return ScalabilityVerdict(
             spec=spec,
             q=q,

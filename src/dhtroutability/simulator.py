@@ -24,9 +24,9 @@ for the longest alive span that does not overshoot; tree, hypercube, xor
 and ring share one word rule, which reads a node's alive links from one
 integer.  The router packs every node's word once per aliveness row, at
 N x links, while N is at most MASK_NODES_PER_PAIR times the pairs per
-row, and otherwise gathers each active pair's links per hop.  It takes a
-stack of aliveness rows, one per q point, and routes each pair over its
-own row.
+row, and otherwise reads each active pair's links per hop, from the
+highest usable one down.  It takes a stack of aliveness rows, one per q
+point, and routes each pair over its own row.
 
 estimate_sweep traces routability over a whole q grid: per trial it
 builds the overlay and draws one failure uniform per node once, for
@@ -36,10 +36,10 @@ Randomized construction choices (XOR bucket suffixes, ring finger
 offsets, symphony shortcut lengths) derive deterministically from a
 64-bit build seed, and failure patterns and pair sampling from their own
 seeds, so identical seeds reproduce bit-identical outcomes.  Each
-overlay is one row-major N x links int32 table of link targets, plus one
-of link spans for ring and symphony, and only one trial's overlay is
-alive at a time.  symphony's k_n is capped at SIM_MAX_D, since each near
-link is a table column.
+overlay is one link-major int32 table of link targets, plus one of link
+spans for ring and symphony: one contiguous row per link, written as it
+is drawn.  Only one trial's overlay is alive at a time.  symphony's k_n
+is capped at SIM_MAX_D, since each near link is a table row.
 """
 
 from __future__ import annotations
@@ -68,9 +68,9 @@ MAX_TRIALS = 10_000
 MAX_ROUTES = 100_000_000
 
 #: The router packs alive-link words while N <= factor x pairs per row,
-#: and gathers them per hop otherwise.  Measured break-even against the
-#: gather at d = 12..18: N/pairs 8-12 for tree, hypercube, xor and ring
-#: (one q row at 0 or 0.3, or 11 rows from 0 to 0.5).
+#: and gathers them per hop otherwise.  Measured break-even at d = 12..18:
+#: N/pairs 8-16 (11 q rows, 0 to 0.5) or 16-32 (one row, q = 0.3) for
+#: hypercube, xor and ring; tree's one-link gather wins from 2 at d >= 14.
 MASK_NODES_PER_PAIR = 10
 
 FAILED_DEAD_END = "dead_end"
@@ -91,7 +91,8 @@ class Overlay:
 
     targets[v, c] is the node id of v's c-th link; roles[c] names the
     link kind (bucket-i / finger-i / near-i / shortcut-i).  offsets holds
-    the clockwise link spans for ring and symphony, None otherwise.
+    the clockwise link spans for ring and symphony, None otherwise.  Both
+    are the .T views of build_overlay's C-contiguous links x N tables.
     """
 
     spec: GeometrySpec
@@ -144,26 +145,20 @@ def build_overlay(spec: GeometrySpec, build_seed: int) -> Overlay:
     kind = spec.kind
 
     if kind in (Geometry.TREE, Geometry.HYPERCUBE, Geometry.XOR):
-        # Bucket-i neighbor (column i-1) flips bit i (bit 1 = most significant)
+        # Bucket-i neighbor (row i-1) flips bit i (bit 1 = most significant)
         # and keeps every other bit, so tree hops correct exactly one bit.
         bits = (1 << np.arange(d - 1, -1, -1)).astype(np.int32)
-        # In an aligned block of 2^m ids v = start ^ j, so v ^ bits is
-        # start ^ (j ^ bits): one long xor per block, not d per node.
-        block = 1 << min(d, 10)
-        targets = np.empty((n, d), dtype=np.int32)
-        blocks = targets.reshape(n // block, -1)
-        pattern = np.arange(block, dtype=np.int32)[:, None] ^ bits
-        np.bitwise_xor(ids[::block, None], pattern.reshape(-1), out=blocks)
+        targets = ids ^ bits[:, None]
         if kind is Geometry.XOR:
             # xor keeps bits 1..i-1, flips bit i, and draws the remaining
             # d-i bits uniformly at random (no draw for the last bucket).
-            blocks &= np.tile(~(bits - 1), block)
-            suffixes = np.zeros((d, n), dtype=np.int32)
-            for c, bit in enumerate(bits[:-1].tolist()):
-                _draw_below(rng, 0, bit, suffixes[c])
-            targets |= suffixes.T
+            suffix = np.empty(n, dtype=np.int32)
+            for row, bit in zip(targets, bits[:-1].tolist()):
+                row &= ~(bit - 1)
+                _draw_below(rng, 0, bit, suffix)
+                row |= suffix
         roles = tuple(f"bucket-{i}" for i in range(1, d + 1))
-        return Overlay(spec, build_seed, targets, None, roles)
+        return Overlay(spec, build_seed, targets.T, None, roles)
 
     if kind is Geometry.RING:
         # Finger i spans a clockwise offset drawn uniformly from
@@ -186,14 +181,12 @@ def build_overlay(spec: GeometrySpec, build_seed: int) -> Overlay:
         )
     else:
         raise ValueError(f"unknown geometry kind: {kind}")
-    offsets = np.ascontiguousarray(spans.T)
-    del spans
     # int32 cannot overflow: ids and spans are below 2^SIM_MAX_D (near
     # spans are at most k_n <= SIM_MAX_D), so every sum is below 2^21
     # before the wrap-around mask.
-    targets = ids[:, None] + offsets
+    targets = spans + ids
     targets &= n - 1
-    return Overlay(spec, build_seed, targets, offsets, roles)
+    return Overlay(spec, build_seed, targets.T, spans.T, roles)
 
 
 @dataclass(eq=False)
@@ -298,20 +291,18 @@ def _route_batch(overlay: Overlay, alive: np.ndarray, src, dst, row=0):
     a rows x N stack of them, and pair i routes over row[i].  Returns
     per-pair (delivered, hops, capped) arrays.
     """
-    d, n = overlay.spec.d, overlay.n_nodes
+    n = overlay.n_nodes
     alive = np.ravel(alive)
     if overlay.spec.kind is Geometry.SYMPHONY:
-        links_per_node = overlay.targets.shape[1]
-        offsets = np.ravel(overlay.offsets)
+        offsets = overlay.offsets.T
 
         def step(node, goal, base):
             # The longest alive span that does not overshoot, one link
             # column at a time; span 0 means no link is usable.
             here = (goal - node) & (n - 1)
-            first = node * links_per_node
             span = np.zeros_like(here)
-            for c in range(links_per_node):
-                o = offsets.take(first + c)
+            for column in offsets:
+                o = column.take(node)
                 usable = alive.take(base + ((node + o) & (n - 1)))
                 usable &= o <= here
                 np.maximum(span, o * usable, out=span)
@@ -321,64 +312,72 @@ def _route_batch(overlay: Overlay, alive: np.ndarray, src, dst, row=0):
 
     ring = overlay.offsets is not None
     tree = overlay.spec.kind is Geometry.TREE
-    targets = np.ravel(overlay.targets)
-    offsets = np.ravel(overlay.offsets) if ring else None
-    words = _alive_link_words(overlay, alive, np.size(src))
+    # Flat link-major views, indexed column * n + node (C-order tables are copied).
+    targets = np.ravel(overlay.targets.T)
+    offsets = np.ravel(overlay.offsets.T) if ring else None
+    words = _alive_link_words(overlay, alive, np.size(src), targets)
 
     def step(node, goal, base):
-        links = words(node, base)
-        first = node * d
+        # usable: the links the step may take; ring's top-phase finger only
+        # when it does not overshoot, tree's leftmost differing bit only.
         if ring:
             here = (goal - node) & (n - 1)
             top = _bit_length(here) - 1
-            take_top = (links >> top) & 1 & (offsets.take(first + top) <= here)
-            bit = np.where(take_top, top, _bit_length(links & ((1 << top) - 1)) - 1)
-            column = bit
+            overshoot = offsets.take(top * n + node) > here
+            usable = (2 << top) - 1 - (overshoot << top)
         else:
-            here = node ^ goal
+            usable = node ^ goal
             if tree:
-                here = 1 << (_bit_length(here) - 1)
-            bit = _bit_length(links & here) - 1
-            column = d - 1 - bit
+                usable = 1 << (_bit_length(usable) - 1)
+        bit = _bit_length(words(node, base, usable) & usable) - 1
         # A dead end's column is -1 or d; clip keeps its unused gather in bounds.
-        return targets.take(first + column, mode="clip"), bit < 0
+        return targets.take(_link_column(overlay, bit) * n + node, mode="clip"), bit < 0
 
     return _lockstep(n, src, dst, row, step)
 
 
-def _alive_link_words(overlay: Overlay, alive: np.ndarray, pairs: int):
-    """words(node, base): the alive-link words of nodes, each in the row
-    that starts at base of the flat rows x N aliveness table alive.
+def _link_column(overlay: Overlay, bit):
+    """The table column of word bit bit's link: finger bit + 1 (ring) or the
+    link that flips bit bit.  The map is its own inverse."""
+    return bit if overlay.offsets is not None else overlay.spec.d - 1 - bit
 
-    Bit b of a word is set when the link that flips bit b (tree,
-    hypercube, xor) or finger b + 1 (ring) is alive.  While rows x N is
-    at most MASK_NODES_PER_PAIR x pairs, every row is packed once up
-    front; otherwise each call gathers its nodes' links.
+
+def _alive_link_words(overlay: Overlay, alive: np.ndarray, pairs: int, targets: np.ndarray):
+    """words(node, base, usable): the alive-link words of nodes, each in
+    the row that starts at base of the flat rows x N aliveness table
+    alive, exact on the usable bits down to the highest alive one.
+
+    Bit b of a word is set when the link in column _link_column(overlay, b)
+    is alive; targets is the flat link-major table, column * N + node.
+    While rows x N is at most MASK_NODES_PER_PAIR x pairs, every row is
+    packed once up front.  Otherwise each call reads each node's highest
+    usable link, and all its links (a cache miss each) only where it is dead.
     """
     if alive.size <= MASK_NODES_PER_PAIR * pairs:
         packed = np.ravel(_pack_alive_links(overlay, alive))
-        return lambda node, base: packed.take(base + node)
-    d, targets = overlay.spec.d, overlay.targets
-    column_bit = np.arange(d) if overlay.offsets is not None else np.arange(d - 1, -1, -1)
-    weights = np.left_shift(1, column_bit, dtype=np.int32)
+        return lambda node, base, usable: packed.take(base + node)
+    n, table = overlay.n_nodes, targets.reshape(-1, overlay.n_nodes)
+    weights = np.left_shift(1, _link_column(overlay, np.arange(len(table))), dtype=np.int32)
 
-    def gathered(node, base):
-        return alive.take(base[:, None] + targets.take(node, axis=0)) @ weights
+    def gathered(node, base, usable):
+        top = _bit_length(usable) - 1
+        # Where usable is 0, top is -1: the clipped read is unused, shifts give 0.
+        hit = alive.take(base + targets.take(_link_column(overlay, top) * n + node, mode="clip"))
+        word = np.left_shift(hit, top, dtype=np.int32)
+        miss = np.flatnonzero(~hit & (usable != 1 << top))
+        word[miss] = weights @ alive.take(base.take(miss) + table.take(node.take(miss), axis=1))
+        return word
 
     return gathered
 
 
 def _pack_alive_links(overlay: Overlay, alive: np.ndarray) -> np.ndarray:
     """One int32 per node and aliveness row (rows x N): bit b is set when
-    the link that flips bit b (tree, hypercube, xor) or finger b + 1
-    (ring) is alive in that row."""
-    d, n = overlay.spec.d, overlay.n_nodes
-    ring = overlay.offsets is not None
-    alive = np.reshape(alive, (-1, n))
+    the link in column _link_column(overlay, b) is alive in that row."""
+    alive = np.reshape(alive, (-1, overlay.n_nodes))
     packed = np.zeros(alive.shape, dtype=np.int32)
     for c, column in enumerate(overlay.targets.T):
-        bit = c if ring else d - 1 - c
-        packed |= np.left_shift(alive.take(column, axis=1), bit, dtype=np.int32)
+        packed |= np.left_shift(alive.take(column, axis=1), _link_column(overlay, c), dtype=np.int32)
     return packed
 
 

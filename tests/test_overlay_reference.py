@@ -3,8 +3,9 @@
 reference_overlay follows the README's link rules one link column at a
 time, drawing from its own generator in the builder's draw order, and
 uses no simulator internals.  build_overlay must agree with it on every
-table entry, store each table as a C-contiguous int32 array, and tag the
-columns with the same roles.  The d = 20 hashes were captured from the
+table entry, store each table link-major as an int32 array whose link
+columns are each contiguous (an F-contiguous N x links view), and tag
+the columns with the same roles.  The d = 20 hashes were captured from the
 column-stacking builder that preceded the one-pass tables.
 """
 
@@ -55,7 +56,7 @@ def reference_overlay(spec, seed):
 
 def _assert_table(got, want):
     assert got.dtype == np.int32
-    assert got.flags.c_contiguous
+    assert got.flags.f_contiguous
     assert np.array_equal(got, want)
 
 

@@ -91,6 +91,11 @@ def _assert_agree(monkeypatch, overlay, alive, src, dst, route_checks):
 
 
 def _pairs(n, rng, limit):
+    if n * n > 1 << 24:
+        # Too many ordered pairs to list: draw limit of them, dropping src == dst.
+        src, dst = rng.integers(n, size=(2, limit))
+        keep = np.flatnonzero(src != dst)
+        return src[keep], dst[keep]
     src, dst = np.divmod(np.arange(n * n), n)
     keep = np.flatnonzero(src != dst)
     if keep.size > limit:
@@ -99,9 +104,12 @@ def _pairs(n, rng, limit):
 
 
 @pytest.mark.parametrize("kind", ALL_GEOMETRIES)
-@pytest.mark.parametrize("d", [3, 6, 10])
-@pytest.mark.parametrize("q", [0.0, 0.1, 0.3, 0.6])
+@pytest.mark.parametrize(
+    "q, d",
+    [(q, d) for d in (3, 6, 10) for q in (0.0, 0.1, 0.3, 0.6)] + [(0.1, 16), (0.3, 16)],
+)
 def test_batched_router_matches_reference(kind, d, q, monkeypatch):
+    # d = 16 checks the link-major gathers on tables that outgrow the cache.
     rng = np.random.default_rng([d, int(q * 10)])
     overlay = build_overlay(GeometrySpec(kind, d), int(rng.integers(2**32)))
     alive = draw_failure_pattern(1 << d, q, int(rng.integers(2**32))).alive
@@ -325,8 +333,11 @@ def test_route_as_long_as_the_cap_is_delivered(source, kind, monkeypatch):
 @pytest.mark.parametrize("d", [1, 2, 7, 12])
 def test_packed_links_match_product(kind, d, monkeypatch):
     # Bit b of a node's integer is set when the link flipping bit b, or
-    # finger b + 1, is alive: the row-by-row weighted product.  The words
-    # gathered per hop are the packed words, for every row and node.
+    # finger b + 1, is alive: the row-by-row weighted product.  For every
+    # row, node and usable set (all links, none, one, or a random set) the
+    # gathered words agree with the packed words on the highest alive
+    # usable bit, the one the step takes; where the highest usable link is
+    # dead and a lower one is usable, they are the packed words bit for bit.
     n = 1 << d
     overlay = build_overlay(GeometrySpec(kind, d), d)
     uniforms = np.random.default_rng(d).random(n)
@@ -337,10 +348,28 @@ def test_packed_links_match_product(kind, d, monkeypatch):
     assert packed.dtype == np.int32
     assert packed.tolist() == want.tolist()
     monkeypatch.setattr(simulator, "MASK_NODES_PER_PAIR", WORD_SOURCES["gathered"])
-    words = simulator._alive_link_words(overlay, alive.reshape(-1), pairs=1)
+    flat_targets = np.ravel(overlay.targets.T)
+    words = simulator._alive_link_words(overlay, alive.reshape(-1), 1, flat_targets)
+    node = np.tile(np.arange(n, dtype=np.int32), len(alive))
     base = np.repeat(np.arange(len(alive), dtype=np.int32) * n, n)
-    gathered = words(np.tile(np.arange(n, dtype=np.int32), len(alive)), base)
-    assert gathered.tolist() == packed.reshape(-1).tolist()
+    packed = packed.reshape(-1)
+    rng = np.random.default_rng(d)
+    fallbacks = 0
+    for usable in (
+        (1 << d) - 1,
+        0,
+        np.left_shift(1, rng.integers(d, size=node.size), dtype=np.int32),
+        rng.integers(1 << d, size=node.size, dtype=np.int32),
+    ):
+        usable = np.broadcast_to(np.int32(usable), node.shape)
+        got = words(node, base, usable)
+        top = np.where(usable > 0, 1 << np.maximum(simulator._bit_length(usable) - 1, 0), 0)
+        fallback = np.flatnonzero((packed & top == 0) & (usable != top))
+        assert got[fallback].tolist() == packed[fallback].tolist()
+        fallbacks += fallback.size
+        got_bit = simulator._bit_length(got & usable)
+        assert got_bit.tolist() == simulator._bit_length(packed & usable).tolist()
+    assert (fallbacks > 0) == (d > 1)
 
 
 def test_bit_length_matches_int_bit_length():

@@ -76,6 +76,23 @@ def test_unscalable_decay_horizon():
     assert products[10_000] < 1e-6
 
 
+@pytest.mark.parametrize(
+    "kind, q", [(Geometry.TREE, 5e-324), (Geometry.SYMPHONY, 5e-324), (Geometry.SYMPHONY, 1e-300)]
+)
+def test_subnormal_q_decay_horizon_raises_value_error(kind, q):
+    # tree's horizon overflows a float; symphony's hazard underflows, so
+    # log1p(-Q) is 0.  Both are the ValueError run_grid turns into a row error.
+    with pytest.raises(ValueError, match=f"q={q}"):
+        classify(GeometrySpec(kind, 16), q)
+
+
+def test_tiny_q_tree_decay_horizon_is_exact_integer():
+    # log1p(-1e-300) is -1e-300, so the horizon is finite and exact.
+    horizon = classify(GeometrySpec(Geometry.TREE, 16), 1e-300).decay_horizon
+    assert horizon == math.ceil(math.log(1e-6) / -1e-300)
+    assert horizon > 10**300
+
+
 def test_evidence_monotone():
     for kind in ALL_GEOMETRIES:
         verdict = classify(GeometrySpec(kind, 16), 0.2)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -239,6 +240,23 @@ def test_no_failures_sampled_pairs_d20(kind):
         if src == dst:
             continue
         assert route(overlay, pattern, int(src), int(dst)).delivered
+
+
+@pytest.mark.parametrize("kind", ALL_GEOMETRIES)
+def test_route_copies_no_overlay_table(kind):
+    # The router reads build_overlay's link-major tables in place; a
+    # flattened copy of their N x links views would cost a whole table.
+    overlay = build_overlay(GeometrySpec(kind, 16), 5)
+    pattern = draw_failure_pattern(overlay.n_nodes, 0.1, 6)
+    survivors = np.flatnonzero(pattern.alive)
+    tracemalloc.start()
+    try:
+        for src, dst in zip(survivors[:5].tolist(), survivors[-5:].tolist()):
+            route(overlay, pattern, src, dst)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < overlay.targets.nbytes
 
 
 def test_tree_per_distance_delivery_matches_geometric_decay():
