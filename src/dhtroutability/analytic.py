@@ -61,6 +61,7 @@ from .geometry import (
     EXACT_PROFILE_MAX_D,
     Geometry,
     GeometrySpec,
+    check_q,
     distance_profile,
 )
 
@@ -85,11 +86,6 @@ class DenominatorMode(str, Enum):
 
     def __str__(self) -> str:
         return self.value
-
-
-def _validate_q(q: float) -> None:
-    if not 0.0 <= q < 1.0:
-        raise ValueError(f"failure probability q must be in [0, 1), got {q}")
 
 
 def suboptimal_hop_cap(d: int, q: float) -> int:
@@ -158,7 +154,7 @@ def hazard_table(spec: GeometrySpec, qs, m_max: int) -> np.ndarray:
     """
     qs = tuple(qs)
     for x in qs:
-        _validate_q(x)
+        check_q(x)
     if m_max < 1:
         raise ValueError(f"horizon must be >= 1, got {m_max}")
     kind = spec.kind
@@ -350,7 +346,7 @@ def routability_sweep(
     results: list = []  # each q's denominator or error, then its result
     for q in qs:
         try:
-            _validate_q(q)
+            check_q(q)
             den = (1.0 - q) * n - one if pn else (n - one) * (1.0 - q)
             if den <= 0.0:  # only (1-q)*N - 1 can be
                 raise ValueError(
@@ -383,7 +379,7 @@ def tree_closed_form(d: int, q: float) -> float:
     """
     if d < 1:
         raise ValueError(f"identifier length d must be >= 1, got {d}")
-    _validate_q(q)
+    check_q(q)
     if d <= _DIRECT_PRODUCT_MAX_H:
         denominator = (1.0 - q) * (1 << d) - 1.0
         if denominator <= 0.0:

@@ -9,9 +9,10 @@ Subcommands:
   asymptotic   analytic routability per (geometry, d, q), d up to 100
   scalability  verdict per (geometry, q) with decade-horizon evidence
 
-Flags may also come from a flat key=value config file (--config); flags
-given on the command line override the file.  Exit codes: 0 success,
-1 usage error, 2 tolerance breach under --check.
+Flags may also come from a flat key=value config file (--config): each
+line is read as the flag --key=value, and flags given on the command line
+override the file.  Exit codes: 0 success, 1 usage error, 2 tolerance
+breach under --check.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .simulator import (
     MAX_ROUTES,
     MAX_TRIALS,
     SIM_MAX_D,
-    SimOutcome,
     SimSeeds,
     estimate_sweep,
 )
@@ -167,7 +167,7 @@ class ExperimentConfig:
         return meta
 
 
-def _analytic_cells(config: ExperimentConfig, spec: GeometrySpec, q: float, res, sim) -> dict:
+def _analytic_cells(res) -> dict:
     if isinstance(res, ValueError):
         raise res
     return {
@@ -176,7 +176,7 @@ def _analytic_cells(config: ExperimentConfig, spec: GeometrySpec, q: float, res,
     }
 
 
-def _sim_cells(config: ExperimentConfig, spec: GeometrySpec, q: float, res, sim) -> dict:
+def _sim_cells(sim) -> dict:
     if isinstance(sim, ValueError):
         raise sim
     seeds = sim.seeds
@@ -188,25 +188,13 @@ def _sim_cells(config: ExperimentConfig, spec: GeometrySpec, q: float, res, sim)
     }
 
 
-def _verdict_cells(config: ExperimentConfig, spec: GeometrySpec, q: float, res, sim) -> dict:
+def _verdict_cells(spec: GeometrySpec, q: float) -> dict:
     verdict = classify(spec, q)
     cells = {"verdict": verdict.verdict.value, "limit_estimate": verdict.limit_estimate}
     cells.update((f"sum_q_at_{h}", total) for h, total in verdict.partial_sums)
     cells.update((f"p_at_{h}", product) for h, product in verdict.partial_products)
     cells["decay_horizon"] = verdict.decay_horizon
     return cells
-
-
-#: The stages that fill one row of each command, in order.  Each takes the
-#: row's (config, spec, q, res, sim): its analytic result and simulated
-#: outcome, or the error their sweep gave at q; None where no stage reads them.
-_STAGES = {
-    "analytic": (_analytic_cells,),
-    "simulate": (_sim_cells,),
-    "compare": (_analytic_cells, _sim_cells),
-    "asymptotic": (_analytic_cells,),
-    "scalability": (_verdict_cells,),
-}
 
 
 def compare_tolerance_breach(
@@ -234,23 +222,15 @@ def compare_tolerance_breach(
     return None
 
 
-def _simulate(config: ExperimentConfig, spec: GeometrySpec, qs) -> list[SimOutcome | ValueError]:
-    """One simulated outcome per q from a single sweep, or its error for each q."""
-    try:
-        return list(estimate_sweep(spec, qs, config.trials, config.pairs_per_trial, config.seeds()))
-    except ValueError as exc:
-        return [exc] * len(qs)
-
-
 def run_grid(config: ExperimentConfig) -> tuple[list[dict], list[str]]:
     """One row per (geometry, d, q), plus compare's tolerance breaches.
 
-    Each row runs its command's stages in order; a stage's ValueError
-    goes into the row's error and ends that row, and the grid continues.
-    The analytic and simulate stages read their row's entry from one
-    sweep over the whole q grid per (geometry, d): routability_sweep and
-    estimate_sweep.  A ValueError in that entry becomes the row's error
-    when the row reaches the stage.
+    A row gets analytic cells, then simulated cells, or a verdict, as its
+    command asks; a ValueError from any of them goes into the row's error
+    and ends that row, and the grid continues.  The analytic and simulated
+    cells read their row's entry from one sweep over the whole q grid per
+    (geometry, d): routability_sweep and estimate_sweep.  A ValueError in
+    that entry becomes the row's error.
     """
     command = config.command
     if command != "asymptotic" and len(config.d_values) != 1:
@@ -258,24 +238,33 @@ def run_grid(config: ExperimentConfig) -> tuple[list[dict], list[str]]:
     if command in ("simulate", "compare") and config.d_values[0] > SIM_MAX_D:
         noun = "simulation" if command == "simulate" else "comparison"
         raise UsageError(f"{noun} requires d <= {SIM_MAX_D}")
+    analytic = command in ("analytic", "compare", "asymptotic")
+    simulated = command in ("simulate", "compare")
     rows: list[dict] = []
     breaches: list[str] = []
     qs = config.q_grid()
     for kind in config.geometries:
         for d in config.d_values:
             spec = config.spec_for(kind, d)
-            stages = _STAGES[command]
             results = sims = [None] * len(qs)
-            if _analytic_cells in stages:
+            if analytic:
                 results = routability_sweep(spec, qs, config.denominator_mode)
-            if _sim_cells in stages:
-                sims = _simulate(config, spec, qs)
+            if simulated:
+                try:
+                    sims = list(estimate_sweep(spec, qs, config.trials, config.pairs_per_trial,
+                                               config.seeds()))
+                except ValueError as exc:
+                    sims = [exc] * len(qs)
             for q, res, sim in zip(qs, results, sims):
                 row = {"geometry": kind.value, "d": d, "n_nodes": spec.n_nodes, "q": q}
                 rows.append(row)
                 try:
-                    for stage in stages:
-                        row.update(stage(config, spec, q, res, sim))
+                    if analytic:
+                        row.update(_analytic_cells(res))
+                    if simulated:
+                        row.update(_sim_cells(sim))
+                    if command == "scalability":
+                        row.update(_verdict_cells(spec, q))
                 except ValueError as exc:
                     row["error"] = str(exc)
                     continue
@@ -308,9 +297,13 @@ def _parse_d_list(text: str) -> tuple[int, ...]:
         raise UsageError(f"invalid d list: '{text}'")
 
 
-def load_config_file(path: str) -> dict[str, str]:
-    """Flat key=value settings; '#' starts a comment, blank lines skipped."""
-    settings: dict[str, str] = {}
+def _config_flags(path: str) -> list[str]:
+    """A flat key=value file as one --key=value flag per line.
+
+    '#' starts a comment and blank lines are skipped; keys ignore case,
+    and '_' stands for '-'.
+    """
+    flags: list[str] = []
     try:
         with open(path, "r", encoding="utf-8") as handle:
             for lineno, raw in enumerate(handle, start=1):
@@ -320,10 +313,19 @@ def load_config_file(path: str) -> dict[str, str]:
                 if "=" not in line:
                     raise UsageError(f"{path}:{lineno}: expected key=value, got '{line}'")
                 key, value = line.split("=", 1)
-                settings[key.strip().lower().replace("-", "_")] = value.strip()
+                flags.append(f"--{key.strip().lower().replace('_', '-')}={value.strip()}")
     except OSError as exc:
         raise UsageError(f"cannot read config file {path}: {exc}")
-    return settings
+    return flags
+
+
+def _boolean(text: str) -> bool:
+    lowered = text.lower()
+    if lowered in ("1", "true", "yes", "on"):
+        return True
+    if lowered in ("0", "false", "no", "off"):
+        return False
+    raise argparse.ArgumentTypeError(f"invalid boolean value: '{text}'")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -339,108 +341,73 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
     for command in COMMANDS:
-        cmd = sub.add_parser(command, help=f"run the {command} report")
+        # A flag left unset stays off the namespace, so ExperimentConfig's
+        # field default applies.
+        cmd = sub.add_parser(command, help=f"run the {command} report",
+                             argument_default=argparse.SUPPRESS)
+        cmd.set_defaults(**_GRID_DEFAULTS[command])
         cmd.add_argument("--config", help="flat key=value config file; flags override")
-        cmd.add_argument("--geometry", help="comma-separated geometries, or 'all'")
+        cmd.add_argument("--geometry", default="all", help="comma-separated geometries, or 'all'")
         cmd.add_argument("--d", help="identifier length in bits (comma list for asymptotic)")
-        cmd.add_argument("--q-start", type=float, dest="q_start")
-        cmd.add_argument("--q-stop", type=float, dest="q_stop")
-        cmd.add_argument("--q-step", type=float, dest="q_step")
+        cmd.add_argument("--q-start", type=float)
+        cmd.add_argument("--q-stop", type=float)
+        cmd.add_argument("--q-step", type=float)
         cmd.add_argument("--trials", type=int)
-        cmd.add_argument("--pairs", type=int, help="sampled pairs per trial")
+        cmd.add_argument("--pairs", type=int, dest="pairs_per_trial", metavar="PAIRS",
+                         help="sampled pairs per trial")
         cmd.add_argument("--seed", type=int, help="master seed; build/fail/pair seeds derive from it")
-        cmd.add_argument("--kn", type=int, help="symphony near neighbors")
-        cmd.add_argument("--ks", type=int, help="symphony shortcuts")
+        cmd.add_argument("--kn", type=int, dest="k_n", metavar="KN", help="symphony near neighbors")
+        cmd.add_argument("--ks", type=int, dest="k_s", metavar="KS", help="symphony shortcuts")
         cmd.add_argument("--denominator", choices=["paper", "exact"])
-        cmd.add_argument("--format", choices=["csv", "json"], dest="fmt")
-        cmd.add_argument("--out", help="output path (default: stdout)")
-        cmd.add_argument("--check", action="store_true", default=None,
+        cmd.add_argument("--format", choices=["csv", "json"], dest="output_format")
+        cmd.add_argument("--out", dest="out_path", metavar="OUT",
+                         help="output path (default: stdout)")
+        cmd.add_argument("--check", nargs="?", const=True, type=_boolean,
                          help="compare only: exit 2 when a tolerance is breached")
     return parser
 
 
-_BOOL_TRUE = {"1", "true", "yes", "on"}
-_BOOL_FALSE = {"0", "false", "no", "off"}
+def parse_experiment(argv: list[str]) -> ExperimentConfig:
+    """The experiment an argv asks for.
 
-
-def _coerce(key: str, value: str):
-    try:
-        if key in ("q_start", "q_stop", "q_step"):
-            return float(value)
-        if key in ("trials", "pairs", "seed", "kn", "ks"):
-            return int(value)
-        if key == "check":
-            lowered = value.lower()
-            if lowered in _BOOL_TRUE:
-                return True
-            if lowered in _BOOL_FALSE:
-                return False
-            raise ValueError(value)
-        return value
-    except ValueError:
-        raise UsageError(f"invalid value for {key}: '{value}'")
-
-
-def build_experiment_config(command: str, options: dict) -> ExperimentConfig:
-    """Merge CLI options, config-file settings and per-command defaults."""
-    merged: dict = {}
-    file_settings = {}
-    if options.get("config"):
-        file_settings = load_config_file(options["config"])
-    keys = ("geometry", "d", "q_start", "q_stop", "q_step", "trials", "pairs",
-            "seed", "kn", "ks", "denominator", "fmt", "out", "check")
-    for key in keys:
-        cli_value = options.get(key)
-        if cli_value is not None:
-            merged[key] = cli_value
-            continue
-        file_key = "format" if key == "fmt" else key
-        if file_key in file_settings:
-            merged[key] = _coerce(key, file_settings[file_key])
-    defaults = _GRID_DEFAULTS[command]
-    geometry = merged.get("geometry", "all")
-    d_text = str(merged.get("d", defaults["d"]))
-    return ExperimentConfig(
-        command=command,
-        geometries=_parse_geometries(str(geometry)),
-        d_values=_parse_d_list(d_text),
-        q_start=float(merged.get("q_start", defaults["q_start"])),
-        q_stop=float(merged.get("q_stop", defaults["q_stop"])),
-        q_step=float(merged.get("q_step", defaults["q_step"])),
-        trials=int(merged.get("trials", 10)),
-        pairs_per_trial=int(merged.get("pairs", 2000)),
-        seed=int(merged.get("seed", 1)),
-        k_n=int(merged.get("kn", 1)),
-        k_s=int(merged.get("ks", 1)),
-        denominator_mode=DenominatorMode(merged.get("denominator", "paper")),
-        output_format=str(merged.get("fmt", "csv")),
-        out_path=merged.get("out"),
-        check=bool(merged.get("check", False)),
-    )
-
-
-def run_experiment(config: ExperimentConfig) -> tuple[str, list[str]]:
-    """Rendered report text plus any --check breach messages."""
-    rows, breaches = run_grid(config)
-    text = render(config.output_format, config.metadata(), COLUMNS[config.command], rows)
-    return text, breaches
-
-
-def main(argv: list[str] | None = None) -> int:
+    A --config file's lines are parsed as flags right after the command,
+    ahead of argv's own flags; the last value of a flag wins, so explicit
+    flags override the file.
+    """
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.command is None:
-        parser.print_usage(sys.stderr)
-        return 1
+        raise UsageError(f"expected a command: {', '.join(COMMANDS)}")
+    if "config" in args:
+        head = argv.index(args.command) + 1
+        args = parser.parse_args([*argv[:head], *_config_flags(args.config), *argv[head:]])
+    options = vars(args)
+    options.pop("config", None)
+    if "denominator" in options:
+        options["denominator_mode"] = DenominatorMode(options.pop("denominator"))
+    return ExperimentConfig(
+        geometries=_parse_geometries(options.pop("geometry")),
+        d_values=_parse_d_list(options.pop("d")),
+        **options,
+    )
+
+
+def main(argv: list[str] | None = None) -> int:
     try:
-        config = build_experiment_config(args.command, vars(args))
-        text, breaches = run_experiment(config)
+        config = parse_experiment(sys.argv[1:] if argv is None else argv)
+        rows, breaches = run_grid(config)
+        text = render(config.output_format, config.metadata(), COLUMNS[config.command], rows)
     except UsageError as exc:
         print(f"dht-routability: error: {exc}", file=sys.stderr)
         return 1
     if config.out_path:
-        with open(config.out_path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        try:
+            with open(config.out_path, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+        except OSError as exc:
+            print(f"dht-routability: error: cannot write {config.out_path}: {exc.strerror}",
+                  file=sys.stderr)
+            return 1
     else:
         sys.stdout.write(text)
     if config.check and config.command == "compare" and breaches:

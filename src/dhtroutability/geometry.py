@@ -90,6 +90,12 @@ class GeometrySpec:
         return 1 << self.d
 
 
+def check_q(q: float) -> None:
+    """Reject a failure probability outside [0, 1)."""
+    if not 0.0 <= q < 1.0:
+        raise ValueError(f"failure probability q must be in [0, 1), got {q}")
+
+
 @dataclass(frozen=True)
 class DistanceProfile:
     """Node counts per routing distance h = 1..d from a root node.

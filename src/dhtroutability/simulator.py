@@ -50,7 +50,7 @@ from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
-from .geometry import Geometry, GeometrySpec
+from .geometry import Geometry, GeometrySpec, check_q
 
 #: Simulator scale cap; the analytic pipeline alone covers larger d.
 SIM_MAX_D = 20
@@ -206,11 +206,6 @@ class FailurePattern:
         return int(np.count_nonzero(self.alive))
 
 
-def _check_q(q: float) -> None:
-    if not 0.0 <= q < 1.0:
-        raise ValueError(f"failure probability q must be in [0, 1), got {q}")
-
-
 def _failure_uniforms(n_nodes: int, fail_seed: int) -> np.ndarray:
     """One uniform per node from fail_seed; a node fails at q when its
     uniform is below q, so one draw serves every q."""
@@ -219,7 +214,7 @@ def _failure_uniforms(n_nodes: int, fail_seed: int) -> np.ndarray:
 
 def draw_failure_pattern(n_nodes: int, q: float, fail_seed: int) -> FailurePattern:
     """Reproducible aliveness mask over n_nodes from (q, fail_seed)."""
-    _check_q(q)
+    check_q(q)
     alive = _failure_uniforms(n_nodes, fail_seed) >= q
     return FailurePattern(alive=alive, q=q, fail_seed=fail_seed)
 
@@ -472,7 +467,7 @@ def estimate_sweep(
         raise ValueError(f"trials * pairs_per_trial must be <= {MAX_ROUTES}")
     qs = tuple(qs)
     for q in qs:
-        _check_q(q)
+        check_q(q)
     n = spec.n_nodes
     # q points per router call: its routes, aliveness flags and packed
     # words (rows x pairs, rows x N) stay bounded, as for a single q.

@@ -7,9 +7,9 @@ from dhtroutability.analytic import tree_closed_form
 from dhtroutability.cli import (
     ExperimentConfig,
     UsageError,
-    build_experiment_config,
     compare_tolerance_breach,
     main,
+    parse_experiment,
     run_grid,
 )
 from dhtroutability.geometry import ALL_GEOMETRIES, Geometry
@@ -105,10 +105,10 @@ def test_compare_breach_logic():
 
 
 def test_build_config_defaults_per_command():
-    config = build_experiment_config("analytic", {})
+    config = parse_experiment(["analytic"])
     assert config.d_values == (16,)
     assert config.q_grid() == tuple(round(0.05 * i, 10) for i in range(11))
-    asym = build_experiment_config("asymptotic", {})
+    asym = parse_experiment(["asymptotic"])
     assert asym.d_values == (10, 20, 30, 40, 50, 60, 70, 80, 90, 100)
     assert asym.q_grid() == (0.1,)
 
@@ -127,14 +127,14 @@ def test_build_config_file_and_flag_override(tmp_path):
         "format=json\n",
         encoding="utf-8",
     )
-    config = build_experiment_config("analytic", {"config": str(cfg)})
+    config = parse_experiment(["analytic", "--config", str(cfg)])
     assert config.geometries == (Geometry.TREE, Geometry.RING)
     assert config.d_values == (10,)
     assert config.seed == 99
     assert config.output_format == "json"
     # Flags win over the file.
-    config = build_experiment_config(
-        "analytic", {"config": str(cfg), "seed": 7, "geometry": "xor"}
+    config = parse_experiment(
+        ["analytic", "--config", str(cfg), "--seed", "7", "--geometry", "xor"]
     )
     assert config.seed == 7
     assert config.geometries == (Geometry.XOR,)
@@ -142,15 +142,113 @@ def test_build_config_file_and_flag_override(tmp_path):
 
 def test_config_validation_errors():
     with pytest.raises(UsageError):
-        build_experiment_config("analytic", {"geometry": "moebius"})
+        parse_experiment(["analytic", "--geometry", "moebius"])
     with pytest.raises(UsageError):
-        build_experiment_config("analytic", {"q_stop": 0.99})
+        parse_experiment(["analytic", "--q-stop", "0.99"])
     with pytest.raises(UsageError):
-        build_experiment_config("analytic", {"d": "zero"})
+        parse_experiment(["analytic", "--d", "zero"])
     with pytest.raises(UsageError):
         _config("analytic", trials=0)
     with pytest.raises(UsageError):
         _config("analytic", q_start=0.5, q_stop=0.1)
+
+
+def _exit_and_output(argv, capsys):
+    """(exit status, stdout, stderr) of main(argv); argparse errors exit."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+# (command, config file lines, the flags they stand for, exit status).
+_FILE_AND_FLAGS = [
+    (
+        "analytic",
+        ["geometry=tree,symphony", "d=8", "q_start=0.1", "q_stop=0.2", "q_step=0.1", "format=json"],
+        ["--geometry", "tree,symphony", "--d", "8", "--q-start", "0.1", "--q-stop", "0.2",
+         "--q-step", "0.1", "--format", "json"],
+        0,
+    ),
+    (
+        "simulate",
+        ["geometry=ring", "d=6", "Q_START=0.1", "q_stop=0.2", "q_step=0.1", "trials=2",
+         "pairs=50", "seed=3"],
+        ["--geometry", "ring", "--d", "6", "--q-start", "0.1", "--q-stop", "0.2", "--q-step",
+         "0.1", "--trials", "2", "--pairs", "50", "--seed", "3"],
+        0,
+    ),
+    (
+        "compare",
+        ["geometry=symphony", "d=6", "q-start=0.1", "q_stop=0.1", "trials=2", "pairs=50",
+         "kn=2", "ks=2", "check=yes"],
+        ["--geometry", "symphony", "--d", "6", "--q-start", "0.1", "--q-stop", "0.1",
+         "--trials", "2", "--pairs", "50", "--kn", "2", "--ks", "2", "--check"],
+        2,
+    ),
+    (
+        "compare",
+        ["geometry=symphony", "d=6", "q-start=0.1", "q_stop=0.1", "trials=2", "pairs=50",
+         "kn=2", "ks=2", "check=off"],
+        ["--geometry", "symphony", "--d", "6", "--q-start", "0.1", "--q-stop", "0.1",
+         "--trials", "2", "--pairs", "50", "--kn", "2", "--ks", "2"],
+        0,
+    ),
+    (
+        "asymptotic",
+        ["geometry=hypercube", "d=10,40", "denominator=exact", "format=json"],
+        ["--geometry", "hypercube", "--d", "10,40", "--denominator", "exact", "--format", "json"],
+        0,
+    ),
+    (
+        "scalability",
+        ["geometry=ring,xor", "q_start=0.1", "Q-Stop=0.2", "check=no"],
+        ["--geometry", "ring,xor", "--q-start", "0.1", "--q-stop", "0.2"],
+        0,
+    ),
+]
+
+
+@pytest.mark.parametrize("command, lines, flags, code", _FILE_AND_FLAGS)
+def test_config_file_matches_flags(command, lines, flags, code, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    from_file = _exit_and_output([command, "--config", str(cfg)], capsys)
+    assert from_file == _exit_and_output([command, *flags], capsys)
+    assert from_file[0] == code
+    assert from_file[1]
+
+
+def test_config_file_explicit_flags_win(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("geometry=tree,ring\nd=8\nseed=99\nformat=json\n", encoding="utf-8")
+    expected = _exit_and_output(
+        ["analytic", "--geometry", "xor", "--d", "8", "--seed", "7", "--format", "json"], capsys
+    )
+    # An explicit flag wins whether it comes before or after --config.
+    for argv in (
+        ["analytic", "--seed", "7", "--config", str(cfg), "--geometry", "xor"],
+        ["analytic", "--config", str(cfg), "--geometry", "xor", "--seed", "7"],
+    ):
+        assert _exit_and_output(argv, capsys) == expected
+
+
+def test_config_file_bad_boolean_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("check=maybe\n", encoding="utf-8")
+    expected = "dht-routability compare: error: argument --check: invalid boolean value: 'maybe'\n"
+    assert _exit_and_output(["compare", "--config", str(cfg)], capsys) == (1, "", expected)
+    assert _exit_and_output(["compare", "--check=maybe"], capsys) == (1, "", expected)
+
+
+@pytest.mark.parametrize("line", ["trails=3", "bogus=1", "command=simulate"])
+def test_config_file_unknown_key_is_usage_error(line, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"d=8\n{line}\n", encoding="utf-8")
+    expected = f"dht-routability: error: unrecognized arguments: --{line}\n"
+    assert _exit_and_output(["analytic", "--config", str(cfg)], capsys) == (1, "", expected)
 
 
 def test_config_bounds_pairs_and_q_grid():
@@ -261,6 +359,14 @@ def test_main_usage_errors(capsys):
     assert main(["simulate", "--pairs", "1000001"]) == 1
     assert main(["simulate", "--trials", "1000000000"]) == 1
     assert main(["analytic", "--q-step", "1e-9"]) == 1
+
+
+def test_main_unwritable_out_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.csv"
+    assert main(["analytic", "--d", "8", "--out", str(out)]) == 1
+    assert capsys.readouterr() == (
+        "", f"dht-routability: error: cannot write {out}: No such file or directory\n"
+    )
 
 
 @pytest.mark.parametrize("kn", ["21", "1000000000"])
