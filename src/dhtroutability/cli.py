@@ -18,6 +18,8 @@ breach under --check.
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 from dataclasses import dataclass
 
@@ -301,7 +303,8 @@ def _config_flags(path: str) -> list[str]:
     """A flat key=value file as one --key=value flag per line.
 
     '#' starts a comment and blank lines are skipped; keys ignore case,
-    and '_' stands for '-'.
+    and '_' stands for '-'.  A file may not name another config file:
+    'config', or an abbreviation argparse would take for it, is an error.
     """
     flags: list[str] = []
     try:
@@ -313,7 +316,10 @@ def _config_flags(path: str) -> list[str]:
                 if "=" not in line:
                     raise UsageError(f"{path}:{lineno}: expected key=value, got '{line}'")
                 key, value = line.split("=", 1)
-                flags.append(f"--{key.strip().lower().replace('_', '-')}={value.strip()}")
+                key = key.strip().lower().replace("_", "-")
+                if len(key) > 1 and "config".startswith(key):  # --c is ambiguous
+                    raise UsageError(f"{path}:{lineno}: config files do not nest, got '{line}'")
+                flags.append(f"--{key}={value.strip()}")
     except OSError as exc:
         raise UsageError(f"cannot read config file {path}: {exc}")
     return flags
@@ -392,9 +398,25 @@ def parse_experiment(argv: list[str]) -> ExperimentConfig:
     )
 
 
+def _check_out_path(path: str) -> None:
+    """UsageError when path cannot be opened for writing because its
+    directory is missing or it is a directory.  The file is not touched."""
+    folder = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(folder):
+        code = errno.ENOTDIR if os.path.exists(folder) else errno.ENOENT
+    else:
+        return
+    raise UsageError(f"cannot write {path}: {os.strerror(code)}")
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
         config = parse_experiment(sys.argv[1:] if argv is None else argv)
+        if config.out_path:
+            # Fail before the grid runs, not after.
+            _check_out_path(config.out_path)
         rows, breaches = run_grid(config)
         text = render(config.output_format, config.metadata(), COLUMNS[config.command], rows)
     except UsageError as exc:

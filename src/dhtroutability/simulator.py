@@ -35,15 +35,23 @@ every q.  estimate_routability is the one-point sweep.
 Randomized construction choices (XOR bucket suffixes, ring finger
 offsets, symphony shortcut lengths) derive deterministically from a
 64-bit build seed, and failure patterns and pair sampling from their own
-seeds, so identical seeds reproduce bit-identical outcomes.  Each
-overlay is one link-major int32 table of link targets, plus one of link
-spans for ring and symphony: one contiguous row per link, written as it
-is drawn.  Only one trial's overlay is alive at a time.  symphony's k_n
-is capped at SIM_MAX_D, since each near link is a table row.
+seeds, so identical seeds reproduce bit-identical outcomes.  An overlay
+stores only what its build draws, as link-major int32 tables with one
+contiguous row per link, written as it is drawn:
+
+  tree, hypercube  no table: link c of node v is v ^ (1 << (d - 1 - c))
+  xor              the link targets, whose suffixes are drawn
+  ring, symphony   the clockwise link spans; a target is (v + span) mod N
+
+_link_targets is the one rule that turns these into link targets, and
+Overlay.targets, the N x links table, is derived from it only when read.
+Only one trial's overlay is alive at a time.  symphony's k_n is capped
+at SIM_MAX_D, since each near link is a table row.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple
@@ -85,25 +93,73 @@ class SimSeeds(NamedTuple):
     pair: int
 
 
-@dataclass(eq=False)
 class Overlay:
-    """A built topology: per-node neighbor targets with role tags.
+    """A built topology: per-node link targets with role tags.
 
-    targets[v, c] is the node id of v's c-th link; roles[c] names the
-    link kind (bucket-i / finger-i / near-i / shortcut-i).  offsets holds
-    the clockwise link spans for ring and symphony, None otherwise.  Both
-    are the .T views of build_overlay's C-contiguous links x N tables.
+    roles[c] names link column c's kind (bucket-i / finger-i / near-i /
+    shortcut-i).  targets[v, c] is the node id of v's c-th link, and
+    offsets[v, c] its clockwise span for ring and symphony (None
+    otherwise); both are N x links int32 .T views of link-major tables.
+
+    The constructor takes either table as None where it is not stored:
+    build_overlay stores the targets for xor only, the offsets for ring
+    and symphony, and neither for tree and hypercube, whose link c of v
+    is v ^ (1 << (d - 1 - c)).  A targets table that is not stored is
+    derived on first access and cached; routing never reads it.
     """
 
-    spec: GeometrySpec
-    build_seed: int
-    targets: np.ndarray
-    offsets: np.ndarray | None
-    roles: tuple[str, ...]
+    def __init__(
+        self,
+        spec: GeometrySpec,
+        build_seed: int,
+        targets: np.ndarray | None,
+        offsets: np.ndarray | None,
+        roles: tuple[str, ...],
+    ):
+        self.spec = spec
+        self.build_seed = build_seed
+        self.roles = roles
+        # The stored tables, link-major (links x N), as the router reads them.
+        self._links = None if targets is None else _link_major(targets)
+        self._spans = None if offsets is None else _link_major(offsets)
+        self.offsets = None if offsets is None else self._spans.T
 
     @property
     def n_nodes(self) -> int:
         return self.spec.n_nodes
+
+    @functools.cached_property
+    def targets(self) -> np.ndarray:
+        """targets[v, c]: the node id of v's c-th link (N x links int32)."""
+        if self._links is not None:
+            return self._links.T
+        ids = np.arange(self.n_nodes, dtype=np.int32)
+        columns = np.arange(len(self.roles), dtype=np.int32)[:, None]
+        table = np.empty((columns.size, self.n_nodes), dtype=np.int32)
+        # 4,096 nodes at a time, so that the rule's temporaries stay in cache.
+        for first in range(0, self.n_nodes, 1 << 12):
+            nodes = ids[first : first + (1 << 12)]
+            table[:, first : first + nodes.size] = _link_targets(self, columns, nodes)
+        return table.T
+
+
+def _link_major(table) -> np.ndarray:
+    """The C-contiguous links x N int32 table whose .T is the N x links table."""
+    return np.ascontiguousarray(np.asarray(table, dtype=np.int32).T)
+
+
+def _link_targets(overlay: Overlay, column, node):
+    """The targets of link column column of the nodes node, int32 arrays
+    that broadcast, from what the overlay stores.  A column outside the
+    table gives some node id; callers use it only where they discard it."""
+    n = overlay.n_nodes
+    if overlay._links is not None:
+        return overlay._links.take(column * n + node, mode="clip")
+    if overlay._spans is not None:
+        # int32 cannot overflow: ids and spans are below 2^SIM_MAX_D (near
+        # spans are at most k_n <= SIM_MAX_D), so a sum is below 2^21.
+        return (node + overlay._spans.take(column * n + node, mode="clip")) & (n - 1)
+    return node ^ np.left_shift(1, overlay.spec.d - 1 - column, dtype=np.int32)
 
 
 def _draw_below(rng: np.random.Generator, low: int, width: int, out: np.ndarray) -> None:
@@ -140,24 +196,24 @@ def build_overlay(spec: GeometrySpec, build_seed: int) -> Overlay:
     if build_seed < 0:
         raise ValueError("build_seed must be a non-negative integer")
     n = 1 << d
-    ids = np.arange(n, dtype=np.int32)
     rng = np.random.default_rng(np.random.SeedSequence(build_seed))
     kind = spec.kind
 
     if kind in (Geometry.TREE, Geometry.HYPERCUBE, Geometry.XOR):
         # Bucket-i neighbor (row i-1) flips bit i (bit 1 = most significant)
         # and keeps every other bit, so tree hops correct exactly one bit.
-        bits = (1 << np.arange(d - 1, -1, -1)).astype(np.int32)
-        targets = ids ^ bits[:, None]
-        if kind is Geometry.XOR:
-            # xor keeps bits 1..i-1, flips bit i, and draws the remaining
-            # d-i bits uniformly at random (no draw for the last bucket).
-            suffix = np.empty(n, dtype=np.int32)
-            for row, bit in zip(targets, bits[:-1].tolist()):
-                row &= ~(bit - 1)
-                _draw_below(rng, 0, bit, suffix)
-                row |= suffix
         roles = tuple(f"bucket-{i}" for i in range(1, d + 1))
+        if kind is not Geometry.XOR:
+            return Overlay(spec, build_seed, None, None, roles)
+        # xor keeps bits 1..i-1, flips bit i, and draws the remaining d-i
+        # bits uniformly at random (no draw for the last bucket).
+        bits = (1 << np.arange(d - 1, -1, -1)).astype(np.int32)
+        targets = np.arange(n, dtype=np.int32) ^ bits[:, None]
+        suffix = np.empty(n, dtype=np.int32)
+        for row, bit in zip(targets, bits[:-1].tolist()):
+            row &= ~(bit - 1)
+            _draw_below(rng, 0, bit, suffix)
+            row |= suffix
         return Overlay(spec, build_seed, targets.T, None, roles)
 
     if kind is Geometry.RING:
@@ -181,12 +237,7 @@ def build_overlay(spec: GeometrySpec, build_seed: int) -> Overlay:
         )
     else:
         raise ValueError(f"unknown geometry kind: {kind}")
-    # int32 cannot overflow: ids and spans are below 2^SIM_MAX_D (near
-    # spans are at most k_n <= SIM_MAX_D), so every sum is below 2^21
-    # before the wrap-around mask.
-    targets = spans + ids
-    targets &= n - 1
-    return Overlay(spec, build_seed, targets.T, spans.T, roles)
+    return Overlay(spec, build_seed, None, spans.T, roles)
 
 
 @dataclass(eq=False)
@@ -282,21 +333,22 @@ def _route_batch(overlay: Overlay, alive: np.ndarray, src, dst, row=0):
     alive and does not overshoot, L being the bit length of the clockwise
     distance, else the highest alive finger below L, which never
     overshoots.  These four read each node's alive links from one word
-    (_alive_link_words).  alive is one aliveness mask over the N nodes or
-    a rows x N stack of them, and pair i routes over row[i].  Returns
-    per-pair (delivered, hops, capped) arrays.
+    (_alive_link_words) and each link's target from _link_targets.  alive
+    is one aliveness mask over the N nodes or a rows x N stack of them,
+    and pair i routes over row[i].  Returns per-pair (delivered, hops,
+    capped) arrays.
     """
     n = overlay.n_nodes
     alive = np.ravel(alive)
     if overlay.spec.kind is Geometry.SYMPHONY:
-        offsets = overlay.offsets.T
+        spans = overlay._spans
 
         def step(node, goal, base):
             # The longest alive span that does not overshoot, one link
             # column at a time; span 0 means no link is usable.
             here = (goal - node) & (n - 1)
             span = np.zeros_like(here)
-            for column in offsets:
+            for column in spans:
                 o = column.take(node)
                 usable = alive.take(base + ((node + o) & (n - 1)))
                 usable &= o <= here
@@ -305,12 +357,9 @@ def _route_batch(overlay: Overlay, alive: np.ndarray, src, dst, row=0):
 
         return _lockstep(n, src, dst, row, step)
 
-    ring = overlay.offsets is not None
+    ring = overlay.spec.kind is Geometry.RING
     tree = overlay.spec.kind is Geometry.TREE
-    # Flat link-major views, indexed column * n + node (C-order tables are copied).
-    targets = np.ravel(overlay.targets.T)
-    offsets = np.ravel(overlay.offsets.T) if ring else None
-    words = _alive_link_words(overlay, alive, np.size(src), targets)
+    words = _alive_link_words(overlay, alive, np.size(src))
 
     def step(node, goal, base):
         # usable: the links the step may take; ring's top-phase finger only
@@ -318,15 +367,15 @@ def _route_batch(overlay: Overlay, alive: np.ndarray, src, dst, row=0):
         if ring:
             here = (goal - node) & (n - 1)
             top = _bit_length(here) - 1
-            overshoot = offsets.take(top * n + node) > here
+            overshoot = overlay._spans.take(top * n + node) > here
             usable = (2 << top) - 1 - (overshoot << top)
         else:
             usable = node ^ goal
             if tree:
                 usable = 1 << (_bit_length(usable) - 1)
         bit = _bit_length(words(node, base, usable) & usable) - 1
-        # A dead end's column is -1 or d; clip keeps its unused gather in bounds.
-        return targets.take(_link_column(overlay, bit) * n + node, mode="clip"), bit < 0
+        # A dead end's bit is -1: its target is read and discarded.
+        return _link_targets(overlay, _link_column(overlay, bit), node), bit < 0
 
     return _lockstep(n, src, dst, row, step)
 
@@ -334,33 +383,35 @@ def _route_batch(overlay: Overlay, alive: np.ndarray, src, dst, row=0):
 def _link_column(overlay: Overlay, bit):
     """The table column of word bit bit's link: finger bit + 1 (ring) or the
     link that flips bit bit.  The map is its own inverse."""
-    return bit if overlay.offsets is not None else overlay.spec.d - 1 - bit
+    return bit if overlay.spec.kind is Geometry.RING else overlay.spec.d - 1 - bit
 
 
-def _alive_link_words(overlay: Overlay, alive: np.ndarray, pairs: int, targets: np.ndarray):
+def _alive_link_words(overlay: Overlay, alive: np.ndarray, pairs: int):
     """words(node, base, usable): the alive-link words of nodes, each in
     the row that starts at base of the flat rows x N aliveness table
     alive, exact on the usable bits down to the highest alive one.
 
     Bit b of a word is set when the link in column _link_column(overlay, b)
-    is alive; targets is the flat link-major table, column * N + node.
-    While rows x N is at most MASK_NODES_PER_PAIR x pairs, every row is
-    packed once up front.  Otherwise each call reads each node's highest
-    usable link, and all its links (a cache miss each) only where it is dead.
+    is alive.  While rows x N is at most MASK_NODES_PER_PAIR x pairs,
+    every row is packed once up front.  Otherwise each call reads each
+    node's highest usable link, and all its links (a cache miss each) only
+    where it is dead.
     """
     if alive.size <= MASK_NODES_PER_PAIR * pairs:
         packed = np.ravel(_pack_alive_links(overlay, alive))
         return lambda node, base, usable: packed.take(base + node)
-    n, table = overlay.n_nodes, targets.reshape(-1, overlay.n_nodes)
-    weights = np.left_shift(1, _link_column(overlay, np.arange(len(table))), dtype=np.int32)
+    columns = np.arange(len(overlay.roles), dtype=np.int32)
+    weights = np.left_shift(1, _link_column(overlay, columns), dtype=np.int32)
 
     def gathered(node, base, usable):
         top = _bit_length(usable) - 1
-        # Where usable is 0, top is -1: the clipped read is unused, shifts give 0.
-        hit = alive.take(base + targets.take(_link_column(overlay, top) * n + node, mode="clip"))
+        # Where usable is 0, top is -1: the read is unused, shifts give 0.
+        hit = alive.take(base + _link_targets(overlay, _link_column(overlay, top), node))
         word = np.left_shift(hit, top, dtype=np.int32)
         miss = np.flatnonzero(~hit & (usable != 1 << top))
-        word[miss] = weights @ alive.take(base.take(miss) + table.take(node.take(miss), axis=1))
+        if miss.size:
+            links = _link_targets(overlay, columns[:, None], node.take(miss))
+            word[miss] = weights @ alive.take(base.take(miss) + links)
         return word
 
     return gathered
@@ -370,9 +421,11 @@ def _pack_alive_links(overlay: Overlay, alive: np.ndarray) -> np.ndarray:
     """One int32 per node and aliveness row (rows x N): bit b is set when
     the link in column _link_column(overlay, b) is alive in that row."""
     alive = np.reshape(alive, (-1, overlay.n_nodes))
+    ids = np.arange(overlay.n_nodes, dtype=np.int32)
     packed = np.zeros(alive.shape, dtype=np.int32)
-    for c, column in enumerate(overlay.targets.T):
-        packed |= np.left_shift(alive.take(column, axis=1), _link_column(overlay, c), dtype=np.int32)
+    for c in range(len(overlay.roles)):
+        hit = alive.take(_link_targets(overlay, c, ids), axis=1)
+        packed |= np.left_shift(hit, _link_column(overlay, c), dtype=np.int32)
     return packed
 
 
@@ -508,7 +561,7 @@ def estimate_sweep(
 
 def _sample_pairs(alive: np.ndarray, pairs: int, pair_seed: np.random.SeedSequence):
     """pairs ordered (src, dst) pairs of distinct survivors, uniformly."""
-    survivors = np.flatnonzero(alive)
+    survivors = _survivor_ids(alive)
     pair_rng = np.random.default_rng(pair_seed)
     n_alive = survivors.size
     src_idx = pair_rng.integers(0, n_alive, size=pairs)
@@ -518,6 +571,20 @@ def _sample_pairs(alive: np.ndarray, pairs: int, pair_seed: np.random.SeedSequen
         dst_idx[collision] = pair_rng.integers(0, n_alive, size=int(collision.sum()))
         collision = src_idx == dst_idx
     return survivors[src_idx], survivors[dst_idx]
+
+
+def _survivor_ids(alive: np.ndarray) -> np.ndarray:
+    """np.flatnonzero(alive) as int32, listed 2^16 nodes at a time, so the
+    only int64 indices are one block's (512 KB), not one per survivor."""
+    survivors = np.empty(np.count_nonzero(alive), dtype=np.int32)
+    filled = 0
+    for first in range(0, alive.size, 1 << 16):
+        ids = np.flatnonzero(alive[first : first + (1 << 16)])
+        part = survivors[filled : filled + ids.size]
+        part[...] = ids
+        part += first
+        filled += ids.size
+    return survivors
 
 
 def _outcome(spec, q, pairs_per_trial, seeds, delivered, hop_cap_hits, redrawn) -> SimOutcome:

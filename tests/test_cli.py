@@ -251,6 +251,17 @@ def test_config_file_unknown_key_is_usage_error(line, tmp_path, capsys):
     assert _exit_and_output(["analytic", "--config", str(cfg)], capsys) == (1, "", expected)
 
 
+@pytest.mark.parametrize("key", ["config", "Conf", "co"])
+def test_config_file_config_key_is_usage_error(key, tmp_path, capsys):
+    # Nested files are never read, so naming one is an error, not ignored.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"d=8\n{key}=/nonexistent.cfg\ngeometry=tree\n", encoding="utf-8")
+    expected = (
+        f"dht-routability: error: {cfg}:2: config files do not nest, got '{key}=/nonexistent.cfg'\n"
+    )
+    assert _exit_and_output(["analytic", "--config", str(cfg)], capsys) == (1, "", expected)
+
+
 def test_config_bounds_pairs_and_q_grid():
     _config("simulate", pairs_per_trial=1_000_000)
     with pytest.raises(UsageError, match="pairs"):
@@ -361,12 +372,22 @@ def test_main_usage_errors(capsys):
     assert main(["analytic", "--q-step", "1e-9"]) == 1
 
 
-def test_main_unwritable_out_is_usage_error(tmp_path, capsys):
-    out = tmp_path / "missing" / "x.csv"
-    assert main(["analytic", "--d", "8", "--out", str(out)]) == 1
-    assert capsys.readouterr() == (
-        "", f"dht-routability: error: cannot write {out}: No such file or directory\n"
-    )
+def test_main_unwritable_out_is_usage_error(tmp_path, capsys, monkeypatch):
+    # The path is checked before the grid runs, and no file is created.
+    def no_grid(config):
+        raise AssertionError("ran the grid")
+
+    monkeypatch.setattr(cli, "run_grid", no_grid)
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    for out, reason in (
+        (tmp_path / "missing" / "x.csv", "No such file or directory"),
+        (tmp_path, "Is a directory"),
+        (tmp_path / "file" / "x.csv", "Not a directory"),
+    ):
+        assert main(["analytic", "--d", "8", "--out", str(out)]) == 1
+        err = f"dht-routability: error: cannot write {out}: {reason}\n"
+        assert capsys.readouterr() == ("", err)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
 
 
 @pytest.mark.parametrize("kn", ["21", "1000000000"])

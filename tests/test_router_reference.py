@@ -348,8 +348,7 @@ def test_packed_links_match_product(kind, d, monkeypatch):
     assert packed.dtype == np.int32
     assert packed.tolist() == want.tolist()
     monkeypatch.setattr(simulator, "MASK_NODES_PER_PAIR", WORD_SOURCES["gathered"])
-    flat_targets = np.ravel(overlay.targets.T)
-    words = simulator._alive_link_words(overlay, alive.reshape(-1), 1, flat_targets)
+    words = simulator._alive_link_words(overlay, alive.reshape(-1), 1)
     node = np.tile(np.arange(n, dtype=np.int32), len(alive))
     base = np.repeat(np.arange(len(alive), dtype=np.int32) * n, n)
     packed = packed.reshape(-1)

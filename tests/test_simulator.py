@@ -18,6 +18,7 @@ from dhtroutability.simulator import (
     build_overlay,
     draw_failure_pattern,
     estimate_routability,
+    estimate_sweep,
     route,
 )
 
@@ -257,6 +258,75 @@ def test_route_copies_no_overlay_table(kind):
     finally:
         tracemalloc.stop()
     assert peak < overlay.targets.nbytes
+
+
+@pytest.mark.parametrize("kind", ALL_GEOMETRIES)
+def test_build_stores_only_its_draws(kind):
+    # tree and hypercube keep no table, xor its drawn targets, ring and
+    # symphony their drawn spans: one links x N int32 table at most, and
+    # O(N) temporaries (symphony's float64 shortcut draws) besides.
+    d = 16
+    n = 1 << d
+    spec = GeometrySpec(kind, d)
+    build_overlay(spec, 1)  # lazy imports and caches are not the build's
+    tracemalloc.start()
+    try:
+        overlay = build_overlay(spec, 5)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    table = len(overlay.roles) * n * np.dtype(np.int32).itemsize
+    stored = 0 if kind in (Geometry.TREE, Geometry.HYPERCUBE) else table
+    assert stored <= kept < stored + n
+    assert peak < (table if stored == 0 else stored + 32 * n)
+
+
+@pytest.mark.parametrize("kind", ALL_GEOMETRIES)
+@pytest.mark.parametrize("pairs", [100, 7000])
+def test_sweep_never_derives_targets(kind, pairs):
+    # The router reads only what the build stored, from either word
+    # source (7,000 pairs pack at d = 16, 100 gather): Overlay.targets,
+    # an N x links table, is derived only when someone reads it.
+    overlays = []
+
+    def builder(spec, build_seed):
+        overlays.append(build_overlay(spec, build_seed))
+        return overlays[-1]
+
+    estimate_sweep(GeometrySpec(kind, 16), (0.0, 0.2), 1, pairs, SEEDS, builder=builder)
+    assert len(overlays) == 1
+    assert "targets" not in vars(overlays[0])
+
+
+@pytest.mark.parametrize("n", [2, 5, 1 << 16, (1 << 17) + 3])
+def test_survivor_ids_match_flatnonzero(n):
+    # Listed block by block as int32, the same ids in the same order.
+    alive = np.random.default_rng(n).random(n) >= 0.3
+    survivors = simulator._survivor_ids(alive)
+    assert survivors.dtype == np.int32
+    assert survivors.tolist() == np.flatnonzero(alive).tolist()
+
+
+@pytest.mark.parametrize("kind", ALL_GEOMETRIES)
+@pytest.mark.parametrize("d", [1, 2, 5, 8])
+def test_derived_targets_match_spans(kind, d):
+    # Link c of v is (v + span) mod N on ring and symphony, and
+    # v ^ (1 << (d - 1 - c)) on tree and hypercube; xor keeps the bits
+    # above that one too.  The table is derived once: every read returns
+    # the same N x links array.
+    n = 1 << d
+    overlay = build_overlay(GeometrySpec(kind, d), d)
+    targets = overlay.targets
+    assert targets is overlay.targets
+    assert targets.dtype == np.int32 and targets.flags.f_contiguous
+    ids = np.arange(n)[:, None]
+    if overlay.offsets is not None:
+        assert np.array_equal(targets, (ids + overlay.offsets) % n)
+        return
+    shift = np.arange(d - 1, -1, -1)
+    assert np.array_equal((targets ^ ids) >> shift, np.ones((n, d)))
+    if kind is not Geometry.XOR:
+        assert np.array_equal(targets, ids ^ (1 << shift))
 
 
 def test_tree_per_distance_delivery_matches_geometric_decay():
