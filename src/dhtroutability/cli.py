@@ -3,11 +3,15 @@ asymptotic curves and scalability reports as deterministic CSV/JSON.
 
 Subcommands:
 
-  analytic     analytic routability per (geometry, q)
-  simulate     Monte Carlo routability per (geometry, q)
+  analytic     analytic routability per (geometry, d, q)
+  simulate     Monte Carlo routability per (geometry, d, q)
   compare      both, plus the absolute gap; --check gates exit status
   asymptotic   analytic routability per (geometry, d, q), d up to 100
-  scalability  verdict per (geometry, q) with decade-horizon evidence
+  scalability  verdict per (geometry, d, q) with decade-horizon evidence
+
+Every command takes --d as a comma list; rows run geometry by geometry,
+each d in list order.  simulate and compare need every d <= 20 and a
+symphony kn <= 20.  Every usage error is reported before any row runs.
 
 Flags may also come from a flat key=value config file (--config): each
 line is read as the flag --key=value, and flags given on the command line
@@ -25,17 +29,10 @@ from dataclasses import dataclass
 
 from . import __version__
 from .analytic import DenominatorMode, routability_sweep
-from .geometry import ALL_GEOMETRIES, MAX_D, Geometry, GeometrySpec
+from .geometry import ALL_GEOMETRIES, Geometry, GeometrySpec
 from .reporting import COLUMNS, render
 from .scalability import classify
-from .simulator import (
-    MAX_PAIRS_PER_TRIAL,
-    MAX_ROUTES,
-    MAX_TRIALS,
-    SIM_MAX_D,
-    SimSeeds,
-    estimate_sweep,
-)
+from .simulator import SimSeeds, check_budget, check_scale, estimate_sweep
 
 # Not called here since the grid runs one sweep per (geometry, d), but kept
 # importable: bench/tracing.py swaps these names for timed wrappers.
@@ -95,29 +92,26 @@ class ExperimentConfig:
             raise UsageError("at least one geometry is required")
         if not self.d_values:
             raise UsageError("at least one d value is required")
-        if not all(1 <= d <= MAX_D for d in self.d_values):
-            raise UsageError(f"d values must lie in [1, {MAX_D}]")
-        if self.trials < 1 or self.pairs_per_trial < 1:
-            raise UsageError("trials and pairs must be >= 1")
-        if self.pairs_per_trial > MAX_PAIRS_PER_TRIAL:
-            raise UsageError(f"pairs must be <= {MAX_PAIRS_PER_TRIAL}")
-        if self.trials > MAX_TRIALS:
-            raise UsageError(f"trials must be <= {MAX_TRIALS}")
-        if self.trials * self.pairs_per_trial > MAX_ROUTES:
-            raise UsageError(f"trials x pairs must be <= {MAX_ROUTES}")
         if self.seed < 0:
             raise UsageError("seed must be non-negative")
         if self.k_n < 1 or self.k_s < 1:
             raise UsageError("kn and ks must be >= 1")
-        if self.command in ("simulate", "compare") and self.k_n > SIM_MAX_D:
-            # Each near link is an N-entry column of the simulated overlay.
-            raise UsageError(f"{self.command} requires kn <= {SIM_MAX_D}")
         if self.output_format not in ("csv", "json"):
             raise UsageError(f"unknown format: {self.output_format}")
         for name, value in (("q-start", self.q_start), ("q-stop", self.q_stop)):
             if not 0.0 <= value <= Q_GRID_MAX:
                 raise UsageError(f"{name} must lie in [0, {Q_GRID_MAX}], got {value}")
         self.q_grid()
+        # The budget, each spec, and for a simulated run each spec's scale,
+        # by the rules of the layers that will run them, before any row runs.
+        try:
+            check_budget(self.trials, self.pairs_per_trial)
+            specs = self.specs()
+            if self.command in ("simulate", "compare"):
+                for spec in specs:
+                    check_scale(spec)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
 
     def q_grid(self) -> tuple[float, ...]:
         if self.q_stop < self.q_start:
@@ -133,11 +127,10 @@ class ExperimentConfig:
     def seeds(self) -> SimSeeds:
         return SimSeeds(build=self.seed, fail=self.seed + 1, pair=self.seed + 2)
 
-    def spec_for(self, kind: Geometry, d: int) -> GeometrySpec:
-        try:
-            return GeometrySpec(kind=kind, d=d, k_n=self.k_n, k_s=self.k_s)
-        except ValueError as exc:  # symphony's k_s > d
-            raise UsageError(str(exc)) from None
+    def specs(self) -> tuple[GeometrySpec, ...]:
+        """One spec per (geometry, d), in report order: geometry-major."""
+        return tuple(GeometrySpec(kind, d, self.k_n, self.k_s)
+                     for kind in self.geometries for d in self.d_values)
 
     def metadata(self) -> dict:
         seeds = self.seeds()
@@ -179,8 +172,6 @@ def _analytic_cells(res) -> dict:
 
 
 def _sim_cells(sim) -> dict:
-    if isinstance(sim, ValueError):
-        raise sim
     seeds = sim.seeds
     return {
         "sim_routability": sim.routable_fraction,
@@ -228,54 +219,45 @@ def run_grid(config: ExperimentConfig) -> tuple[list[dict], list[str]]:
     """One row per (geometry, d, q), plus compare's tolerance breaches.
 
     A row gets analytic cells, then simulated cells, or a verdict, as its
-    command asks; a ValueError from any of them goes into the row's error
-    and ends that row, and the grid continues.  The analytic and simulated
-    cells read their row's entry from one sweep over the whole q grid per
-    (geometry, d): routability_sweep and estimate_sweep.  A ValueError in
-    that entry becomes the row's error.
+    command asks.  The analytic and simulated cells read their row's entry
+    from one sweep over the whole q grid per (geometry, d):
+    routability_sweep and estimate_sweep.  A ValueError in an analytic
+    entry or from classify, which hold per q, becomes the row's error and
+    ends that row, and the grid continues.  Every other rule was checked
+    when the config was built.
     """
     command = config.command
-    if command != "asymptotic" and len(config.d_values) != 1:
-        raise UsageError(f"command '{command}' takes exactly one d value")
-    if command in ("simulate", "compare") and config.d_values[0] > SIM_MAX_D:
-        noun = "simulation" if command == "simulate" else "comparison"
-        raise UsageError(f"{noun} requires d <= {SIM_MAX_D}")
     analytic = command in ("analytic", "compare", "asymptotic")
     simulated = command in ("simulate", "compare")
     rows: list[dict] = []
     breaches: list[str] = []
     qs = config.q_grid()
-    for kind in config.geometries:
-        for d in config.d_values:
-            spec = config.spec_for(kind, d)
-            results = sims = [None] * len(qs)
-            if analytic:
-                results = routability_sweep(spec, qs, config.denominator_mode)
-            if simulated:
-                try:
-                    sims = list(estimate_sweep(spec, qs, config.trials, config.pairs_per_trial,
-                                               config.seeds()))
-                except ValueError as exc:
-                    sims = [exc] * len(qs)
-            for q, res, sim in zip(qs, results, sims):
-                row = {"geometry": kind.value, "d": d, "n_nodes": spec.n_nodes, "q": q}
-                rows.append(row)
-                try:
-                    if analytic:
-                        row.update(_analytic_cells(res))
-                    if simulated:
-                        row.update(_sim_cells(sim))
-                    if command == "scalability":
-                        row.update(_verdict_cells(spec, q))
-                except ValueError as exc:
-                    row["error"] = str(exc)
-                    continue
-                if command == "compare":
-                    analytic_r, sim_r = row["analytic_routability"], row["sim_routability"]
-                    row["abs_gap"] = abs(analytic_r - sim_r)
-                    reason = compare_tolerance_breach(kind, analytic_r, sim_r, row["sim_std_error"])
-                    if reason is not None:
-                        breaches.append(f"{kind.value} d={d} q={q:.10g}: {reason}")
+    for spec in config.specs():
+        results = sims = [None] * len(qs)
+        if analytic:
+            results = routability_sweep(spec, qs, config.denominator_mode)
+        if simulated:
+            sims = estimate_sweep(spec, qs, config.trials, config.pairs_per_trial, config.seeds())
+        for q, res, sim in zip(qs, results, sims):
+            row = {"geometry": spec.kind.value, "d": spec.d, "n_nodes": spec.n_nodes, "q": q}
+            rows.append(row)
+            try:
+                if analytic:
+                    row.update(_analytic_cells(res))
+                if simulated:
+                    row.update(_sim_cells(sim))
+                if command == "scalability":
+                    row.update(_verdict_cells(spec, q))
+            except ValueError as exc:
+                row["error"] = str(exc)
+                continue
+            if command == "compare":
+                analytic_r, sim_r = row["analytic_routability"], row["sim_routability"]
+                row["abs_gap"] = abs(analytic_r - sim_r)
+                reason = compare_tolerance_breach(spec.kind, analytic_r, sim_r,
+                                                  row["sim_std_error"])
+                if reason is not None:
+                    breaches.append(f"{spec.kind.value} d={spec.d} q={q:.10g}: {reason}")
     return rows, breaches
 
 
@@ -321,7 +303,7 @@ def _config_flags(path: str) -> list[str]:
                     raise UsageError(f"{path}:{lineno}: config files do not nest, got '{line}'")
                 flags.append(f"--{key}={value.strip()}")
     except OSError as exc:
-        raise UsageError(f"cannot read config file {path}: {exc}")
+        raise UsageError(f"cannot read config file {path}: {exc.strerror}")
     return flags
 
 
@@ -354,7 +336,8 @@ def _build_parser() -> _Parser:
         cmd.set_defaults(**_GRID_DEFAULTS[command])
         cmd.add_argument("--config", help="flat key=value config file; flags override")
         cmd.add_argument("--geometry", default="all", help="comma-separated geometries, or 'all'")
-        cmd.add_argument("--d", help="identifier length in bits (comma list for asymptotic)")
+        cmd.add_argument("--d", help="identifier lengths in bits, a comma list "
+                         "(simulate and compare: each <= 20)")
         cmd.add_argument("--q-start", type=float)
         cmd.add_argument("--q-stop", type=float)
         cmd.add_argument("--q-step", type=float)

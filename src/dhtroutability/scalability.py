@@ -88,30 +88,14 @@ def classify(spec: GeometrySpec, q: float) -> ScalabilityVerdict:
     partial_sums = tuple((m, float(sums[min(m, live) - 1])) for m in EVIDENCE_HORIZONS)
     partial_products = tuple((h, float(products[h - 1])) for h in EVIDENCE_HORIZONS)
 
+    verdict, limit_estimate, decay_horizon = Verdict.SCALABLE, float(products[-1]), None
     if spec.kind in _UNSCALABLE_KINDS:
         # Constant hazard: p(h) = (1 - Q)^h, so the decay horizon has a
         # closed form and needs no cap; at some subnormal q it is infinite.
         log_survival = math.log1p(-float(hazards[0]))
-        horizon = math.log(DECAY_THRESHOLD) / log_survival if log_survival else math.inf
-        if not math.isfinite(horizon):
+        decay = math.log(DECAY_THRESHOLD) / log_survival if log_survival else math.inf
+        if not math.isfinite(decay):
             raise ValueError(f"decay horizon is not finite at q={q}")
-        decay_horizon = math.ceil(horizon)
-        return ScalabilityVerdict(
-            spec=spec,
-            q=q,
-            verdict=Verdict.UNSCALABLE,
-            limit_estimate=0.0,
-            partial_sums=partial_sums,
-            partial_products=partial_products,
-            decay_horizon=decay_horizon,
-        )
-    return ScalabilityVerdict(
-        spec=spec,
-        q=q,
-        verdict=Verdict.SCALABLE,
-        limit_estimate=float(products[-1]),
-        partial_sums=partial_sums,
-        partial_products=partial_products,
-        decay_horizon=None,
-    )
-
+        verdict, limit_estimate, decay_horizon = Verdict.UNSCALABLE, 0.0, math.ceil(decay)
+    return ScalabilityVerdict(spec, q, verdict, limit_estimate, partial_sums, partial_products,
+                              decay_horizon)

@@ -45,8 +45,8 @@ contiguous row per link, written as it is drawn:
 
 _link_targets is the one rule that turns these into link targets, and
 Overlay.targets, the N x links table, is derived from it only when read.
-Only one trial's overlay is alive at a time.  symphony's k_n is capped
-at SIM_MAX_D, since each near link is a table row.
+Only one trial's overlay is alive at a time.  check_scale caps d at
+SIM_MAX_D, and symphony's k_n too, since each near link is a table row.
 """
 
 from __future__ import annotations
@@ -162,6 +162,28 @@ def _link_targets(overlay: Overlay, column, node):
     return node ^ np.left_shift(1, overlay.spec.d - 1 - column, dtype=np.int32)
 
 
+def check_scale(spec: GeometrySpec) -> None:
+    """Reject a spec too large to simulate: d > SIM_MAX_D, or symphony
+    k_n > SIM_MAX_D (each near link is a table row)."""
+    if spec.d > SIM_MAX_D:
+        raise ValueError(f"simulator supports d <= {SIM_MAX_D}, got d={spec.d}")
+    if spec.kind is Geometry.SYMPHONY and spec.k_n > SIM_MAX_D:
+        raise ValueError(f"simulator supports k_n <= {SIM_MAX_D}, got k_n={spec.k_n}")
+
+
+def check_budget(trials: int, pairs_per_trial: int) -> None:
+    """Reject a sampling budget outside 1..MAX_TRIALS trials of
+    1..MAX_PAIRS_PER_TRIAL pairs, or above MAX_ROUTES routes in all."""
+    if trials < 1 or pairs_per_trial < 1:
+        raise ValueError("trials and pairs must be >= 1")
+    if pairs_per_trial > MAX_PAIRS_PER_TRIAL:
+        raise ValueError(f"pairs must be <= {MAX_PAIRS_PER_TRIAL}")
+    if trials > MAX_TRIALS:
+        raise ValueError(f"trials must be <= {MAX_TRIALS}")
+    if trials * pairs_per_trial > MAX_ROUTES:
+        raise ValueError(f"trials x pairs must be <= {MAX_ROUTES}")
+
+
 def _draw_below(rng: np.random.Generator, low: int, width: int, out: np.ndarray) -> None:
     """Fill out with rng.integers(low, low + width, size=out.size), the
     same values and generator state, for a power-of-two width below 2^32
@@ -184,15 +206,11 @@ def _draw_below(rng: np.random.Generator, low: int, width: int, out: np.ndarray)
 def build_overlay(spec: GeometrySpec, build_seed: int) -> Overlay:
     """Construct the full adjacency for one overlay instance.
 
-    Rejects d > 20 (simulator scale) and symphony k_n > 20 (one table
-    column per near link).  All randomized choices come from build_seed,
-    drawn column by column in a fixed order.
+    Rejects a spec check_scale rejects.  All randomized choices come from
+    build_seed, drawn column by column in a fixed order.
     """
+    check_scale(spec)
     d = spec.d
-    if d > SIM_MAX_D:
-        raise ValueError(f"simulator supports d <= {SIM_MAX_D}, got d={d}")
-    if spec.kind is Geometry.SYMPHONY and spec.k_n > SIM_MAX_D:
-        raise ValueError(f"simulator supports k_n <= {SIM_MAX_D}, got k_n={spec.k_n}")
     if build_seed < 0:
         raise ValueError("build_seed must be a non-negative integer")
     n = 1 << d
@@ -510,14 +528,7 @@ def estimate_sweep(
     MAX_PAIRS_PER_TRIAL.  So every outcome equals estimate_routability's
     at its q.
     """
-    if trials < 1 or pairs_per_trial < 1:
-        raise ValueError("trials and pairs_per_trial must be >= 1")
-    if pairs_per_trial > MAX_PAIRS_PER_TRIAL:
-        raise ValueError(f"pairs_per_trial must be <= {MAX_PAIRS_PER_TRIAL}")
-    if trials > MAX_TRIALS:
-        raise ValueError(f"trials must be <= {MAX_TRIALS}")
-    if trials * pairs_per_trial > MAX_ROUTES:
-        raise ValueError(f"trials * pairs_per_trial must be <= {MAX_ROUTES}")
+    check_budget(trials, pairs_per_trial)
     qs = tuple(qs)
     for q in qs:
         check_q(q)

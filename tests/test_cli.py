@@ -1,4 +1,6 @@
 import json
+import math
+import os
 
 import pytest
 
@@ -284,7 +286,7 @@ def test_config_bounds_pairs_and_q_grid():
 def test_config_bounds_d():
     assert _config("asymptotic", d_values=(10, 1000)).d_values == (10, 1000)
     for command in ("analytic", "asymptotic", "scalability"):
-        with pytest.raises(UsageError, match="d values"):
+        with pytest.raises(UsageError, match=r"^identifier length d must be in \[1, 1000\], got 1001$"):
             _config(command, d_values=(1001,))
         assert main([command, "--d", "1000000000"]) == 1
 
@@ -362,11 +364,15 @@ def test_main_json_format(capsys):
 def test_main_usage_errors(capsys):
     assert main(["analytic", "--geometry", "symphony", "--d", "2", "--ks", "3"]) == 1
     assert capsys.readouterr().err == "dht-routability: error: symphony requires k_s <= d\n"
+    assert main(["analytic", "--seed", "-1"]) == 1
+    assert capsys.readouterr().err == "dht-routability: error: seed must be non-negative\n"
+    assert main(["analytic", "--kn", "0"]) == 1
+    assert capsys.readouterr().err == "dht-routability: error: kn and ks must be >= 1\n"
     assert main([]) == 1
     assert main(["analytic", "--geometry", "klein-bottle"]) == 1
     assert main(["analytic", "--d", "16", "--q-stop", "0.99"]) == 1
     assert main(["simulate", "--d", "24"]) == 1  # simulator scale cap
-    assert main(["compare", "--d", "10,12"]) == 1  # one d per comparison
+    assert main(["simulate", "--d", "12,21"]) == 1  # every d is within the scale cap
     assert main(["simulate", "--pairs", "1000001"]) == 1
     assert main(["simulate", "--trials", "1000000000"]) == 1
     assert main(["analytic", "--q-step", "1e-9"]) == 1
@@ -393,6 +399,11 @@ def test_main_unwritable_out_is_usage_error(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("kn", ["21", "1000000000"])
 @pytest.mark.parametrize("command", ["simulate", "compare"])
 def test_main_rejects_large_kn_before_building(command, kn, monkeypatch, capsys):
+    # The cap is symphony's: tree ignores kn, so a tree run builds and routes.
+    tree = [command, "--geometry", "tree", "--d", "4", "--kn", kn, "--trials", "1", "--pairs", "10"]
+    assert main(tree) == 0
+    assert capsys.readouterr().err == ""
+
     def no_build(spec, build_seed):
         raise AssertionError("built an overlay")
 
@@ -402,8 +413,9 @@ def test_main_rejects_large_kn_before_building(command, kn, monkeypatch, capsys)
     monkeypatch.setattr(cli, "estimate_sweep", sweep)
     argv = [command, "--geometry", "symphony", "--d", "4", "--kn", kn]
     assert main(argv) == 1
-    assert capsys.readouterr().err == f"dht-routability: error: {command} requires kn <= 20\n"
-    with pytest.raises(UsageError, match="kn <= 20"):
+    error = f"simulator supports k_n <= 20, got k_n={kn}"
+    assert capsys.readouterr().err == f"dht-routability: error: {error}\n"
+    with pytest.raises(UsageError, match=f"^{error}$"):
         _config(command, geometries=(Geometry.SYMPHONY,), d_values=(4,), k_n=int(kn))
     # The analytic commands take any kn >= 1.
     _config("analytic", geometries=(Geometry.SYMPHONY,), d_values=(4,), k_n=int(kn))
@@ -531,3 +543,83 @@ def test_main_scalability_report(capsys):
     assert "tree,16,0.1,unscalable," in out
     assert "hypercube,16,0.1,scalable," in out
     assert "symphony,16,0.1,unscalable," in out
+
+
+# --- usage errors, each reported by its exact line -----------------------------
+
+
+def test_config_file_line_without_equals_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("d 8\n", encoding="utf-8")
+    expected = f"dht-routability: error: {cfg}:1: expected key=value, got 'd 8'\n"
+    assert _exit_and_output(["analytic", "--config", str(cfg)], capsys) == (1, "", expected)
+
+
+def test_missing_config_file_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "missing.cfg"
+    expected = f"dht-routability: error: cannot read config file {cfg}: No such file or directory\n"
+    assert _exit_and_output(["analytic", "--config", str(cfg)], capsys) == (1, "", expected)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_out_write_failure_is_usage_error(capsys):
+    argv = ["analytic", "--geometry", "tree", "--d", "8", "--out", "/dev/full"]
+    expected = "dht-routability: error: cannot write /dev/full: No space left on device\n"
+    assert _exit_and_output(argv, capsys) == (1, "", expected)
+
+
+# --- d lists -------------------------------------------------------------------
+
+
+def _rows(argv, capsys):
+    code, out, err = _exit_and_output([*argv, "--format", "json"], capsys)
+    assert (code, err) == (0, "")
+    return json.loads(out)["rows"]
+
+
+@pytest.mark.parametrize("argv, geometries, d_values", [
+    (["compare", "--geometry", "tree,symphony", "--trials", "3", "--pairs", "300", "--seed", "5"],
+     ("tree", "symphony"), ("6", "8")),
+    (["scalability"], [g.value for g in ALL_GEOMETRIES], ("8", "16")),
+])
+def test_d_list_rows_match_single_d_reports(argv, geometries, d_values, capsys):
+    # One report per d list: each geometry's rows, d by d in list order,
+    # are the rows a run at that d alone reports.
+    rows = _rows([*argv, "--d", ",".join(d_values)], capsys)
+    single = {d: _rows([*argv, "--d", d], capsys) for d in d_values}
+    expected = [row for g in geometries for d in d_values
+                for row in single[d] if row["geometry"] == g]
+    assert rows == expected
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["compare", "--geometry", "all", "--d", "18", "--ks", "19"], "symphony requires k_s <= d"),
+    (["simulate", "--d", "12,21"], "simulator supports d <= 20, got d=21"),
+])
+def test_d_list_usage_errors_come_before_any_build(argv, error, monkeypatch, capsys):
+    # tree and hypercube at d = 18 or 12 would run first: nothing may.
+    def no_build(spec, build_seed):
+        raise AssertionError("built an overlay")
+
+    def sweep(*args):
+        return simulator.estimate_sweep(*args, builder=no_build)
+
+    monkeypatch.setattr(cli, "estimate_sweep", sweep)
+    assert _exit_and_output(argv, capsys) == (1, "", f"dht-routability: error: {error}\n")
+
+
+def test_headline_tree_decays_and_hypercube_stays_flat(capsys):
+    # The paper's result on simulated overlays at q = 0.1: tree's
+    # routability falls with N at every step, hypercube's tracks its flat
+    # model at every d.
+    argv = ["compare", "--geometry", "tree,hypercube", "--d", "8,12,16,20",
+            "--q-start", "0.1", "--q-stop", "0.1", "--trials", "4", "--seed", "2026", "--check"]
+    rows = _rows(argv, capsys)
+    assert [(row["geometry"], row["d"]) for row in rows] == [
+        (g, d) for g in ("tree", "hypercube") for d in (8, 12, 16, 20)]
+    tree, hypercube = rows[:4], rows[4:]
+    for small, large in zip(tree, tree[1:]):
+        fall = small["sim_routability"] - large["sim_routability"]
+        assert fall > 3 * math.hypot(small["sim_std_error"], large["sim_std_error"])
+    for row in hypercube:
+        assert row["abs_gap"] <= 3 * row["sim_std_error"]

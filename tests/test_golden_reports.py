@@ -74,6 +74,13 @@ GOLDEN = [
         "157fc02ae3876a3cce24f2718bef2b7810f999ff1f8a77daf14507b589b926e0",
     ),
     (
+        # A d list: each geometry's rows at d = 6, then at d = 8, are those
+        # of the single-d reports.
+        "compare-d-list",
+        "compare --geometry tree,symphony --d 6,8 --trials 3 --pairs 300 --seed 5",
+        "ceb18187176c907595b6cca1924ba5ced36c729f3c4a94f7917837ef59ee115a",
+    ),
+    (
         "scalability-fine",
         "scalability --q-start 0.005 --q-stop 0.95 --q-step 0.005",
         "183db0d5f949ac2e37ef0c63bbd065c6dc40cb31dab9c56470db5e10c832bb4d",
