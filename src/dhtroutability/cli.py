@@ -94,8 +94,6 @@ class ExperimentConfig:
             raise UsageError("at least one d value is required")
         if self.seed < 0:
             raise UsageError("seed must be non-negative")
-        if self.k_n < 1 or self.k_s < 1:
-            raise UsageError("kn and ks must be >= 1")
         if self.output_format not in ("csv", "json"):
             raise UsageError(f"unknown format: {self.output_format}")
         for name, value in (("q-start", self.q_start), ("q-stop", self.q_stop)):

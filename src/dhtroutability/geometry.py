@@ -64,8 +64,8 @@ class GeometrySpec:
     """A routing geometry plus its parameters.
 
     d is the identifier length in bits (N = 2^d).  k_n and k_s are the
-    Symphony near-neighbor and shortcut counts; they are ignored by the
-    other geometries.
+    Symphony near-neighbor and shortcut counts, at least 1 each; they are
+    ignored by the other geometries.
     """
 
     kind: Geometry
@@ -78,12 +78,11 @@ class GeometrySpec:
             object.__setattr__(self, "kind", Geometry(self.kind))
         if not 1 <= self.d <= MAX_D:
             raise ValueError(f"identifier length d must be in [1, {MAX_D}], got {self.d}")
-        if self.kind is Geometry.SYMPHONY:
-            if self.k_n < 1 or self.k_s < 1:
-                raise ValueError("symphony requires k_n >= 1 and k_s >= 1")
-            if self.k_s > self.d:
-                # The per-phase advance probability k_s/d must stay <= 1.
-                raise ValueError("symphony requires k_s <= d")
+        if self.k_n < 1 or self.k_s < 1:
+            raise ValueError(f"k_n and k_s must be >= 1, got k_n={self.k_n}, k_s={self.k_s}")
+        if self.kind is Geometry.SYMPHONY and self.k_s > self.d:
+            # The per-phase advance probability k_s/d must stay <= 1.
+            raise ValueError("symphony requires k_s <= d")
 
     @property
     def n_nodes(self) -> int:

@@ -35,15 +35,16 @@ every q.  estimate_routability is the one-point sweep.
 Randomized construction choices (XOR bucket suffixes, ring finger
 offsets, symphony shortcut lengths) derive deterministically from a
 64-bit build seed, and failure patterns and pair sampling from their own
-seeds, so identical seeds reproduce bit-identical outcomes.  An overlay
-stores only what its build draws, as link-major int32 tables with one
-contiguous row per link, written as it is drawn:
+seeds, so identical seeds reproduce bit-identical outcomes.  An overlay,
+Overlay(spec, table), is its spec plus the one table its build draws, a
+link-major links x N int32 table with one contiguous row per link,
+written as it is drawn:
 
   tree, hypercube  no table: link c of node v is v ^ (1 << (d - 1 - c))
   xor              the link targets, whose suffixes are drawn
   ring, symphony   the clockwise link spans; a target is (v + span) mod N
 
-_link_targets is the one rule that turns these into link targets, and
+_link_targets reads link targets by that rule, per geometry kind, and
 Overlay.targets, the N x links table, is derived from it only when read.
 Only one trial's overlay is alive at a time.  check_scale caps d at
 SIM_MAX_D, and symphony's k_n too, since each near link is a table row.
@@ -94,45 +95,55 @@ class SimSeeds(NamedTuple):
 
 
 class Overlay:
-    """A built topology: per-node link targets with role tags.
+    """A built topology: its spec plus the one link-major table its build draws.
+
+    table is the links x N int32 table, one contiguous row per link: the
+    link targets for xor, the clockwise link spans for ring and symphony,
+    and None for tree and hypercube, whose link c of v is
+    v ^ (1 << (d - 1 - c)).  The constructor rejects a table whose
+    presence or shape does not fit spec.
 
     roles[c] names link column c's kind (bucket-i / finger-i / near-i /
-    shortcut-i).  targets[v, c] is the node id of v's c-th link, and
-    offsets[v, c] its clockwise span for ring and symphony (None
-    otherwise); both are N x links int32 .T views of link-major tables.
-
-    The constructor takes either table as None where it is not stored:
-    build_overlay stores the targets for xor only, the offsets for ring
-    and symphony, and neither for tree and hypercube, whose link c of v
-    is v ^ (1 << (d - 1 - c)).  A targets table that is not stored is
-    derived on first access and cached; routing never reads it.
+    shortcut-i).  offsets[v, c] is v's c-th clockwise span, the span
+    table's N x links .T view (None off the ring), and targets[v, c] the
+    node id of v's c-th link, derived on first access and cached; routing
+    never reads it.
     """
 
-    def __init__(
-        self,
-        spec: GeometrySpec,
-        build_seed: int,
-        targets: np.ndarray | None,
-        offsets: np.ndarray | None,
-        roles: tuple[str, ...],
-    ):
+    def __init__(self, spec: GeometrySpec, table: np.ndarray | None = None):
         self.spec = spec
-        self.build_seed = build_seed
-        self.roles = roles
-        # The stored tables, link-major (links x N), as the router reads them.
-        self._links = None if targets is None else _link_major(targets)
-        self._spans = None if offsets is None else _link_major(offsets)
-        self.offsets = None if offsets is None else self._spans.T
+        kind = spec.kind
+        if (table is None) != (kind in (Geometry.TREE, Geometry.HYPERCUBE)):
+            stored = "no" if table is not None else "a"
+            raise ValueError(f"{kind} overlays store {stored} link table")
+        if table is not None:
+            table = np.ascontiguousarray(table, dtype=np.int32)
+            links = len(self.roles)
+            if table.shape != (links, self.n_nodes):
+                raise ValueError(f"{kind} link table must be {links} x {self.n_nodes}, "
+                                 f"got {table.shape}")
+        self.table = table
+        self.offsets = table.T if kind in (Geometry.RING, Geometry.SYMPHONY) else None
 
     @property
     def n_nodes(self) -> int:
         return self.spec.n_nodes
 
+    @property
+    def roles(self) -> tuple[str, ...]:
+        spec = self.spec
+        if spec.kind is Geometry.SYMPHONY:
+            return tuple(f"near-{j}" for j in range(1, spec.k_n + 1)) + tuple(
+                f"shortcut-{j}" for j in range(1, spec.k_s + 1)
+            )
+        link = "finger" if spec.kind is Geometry.RING else "bucket"
+        return tuple(f"{link}-{i}" for i in range(1, spec.d + 1))
+
     @functools.cached_property
     def targets(self) -> np.ndarray:
         """targets[v, c]: the node id of v's c-th link (N x links int32)."""
-        if self._links is not None:
-            return self._links.T
+        if self.spec.kind is Geometry.XOR:
+            return self.table.T
         ids = np.arange(self.n_nodes, dtype=np.int32)
         columns = np.arange(len(self.roles), dtype=np.int32)[:, None]
         table = np.empty((columns.size, self.n_nodes), dtype=np.int32)
@@ -143,22 +154,18 @@ class Overlay:
         return table.T
 
 
-def _link_major(table) -> np.ndarray:
-    """The C-contiguous links x N int32 table whose .T is the N x links table."""
-    return np.ascontiguousarray(np.asarray(table, dtype=np.int32).T)
-
-
 def _link_targets(overlay: Overlay, column, node):
     """The targets of link column column of the nodes node, int32 arrays
-    that broadcast, from what the overlay stores.  A column outside the
+    that broadcast, by the overlay's geometry.  A column outside the
     table gives some node id; callers use it only where they discard it."""
     n = overlay.n_nodes
-    if overlay._links is not None:
-        return overlay._links.take(column * n + node, mode="clip")
-    if overlay._spans is not None:
+    kind = overlay.spec.kind
+    if kind is Geometry.XOR:
+        return overlay.table.take(column * n + node, mode="clip")
+    if kind in (Geometry.RING, Geometry.SYMPHONY):
         # int32 cannot overflow: ids and spans are below 2^SIM_MAX_D (near
         # spans are at most k_n <= SIM_MAX_D), so a sum is below 2^21.
-        return (node + overlay._spans.take(column * n + node, mode="clip")) & (n - 1)
+        return (node + overlay.table.take(column * n + node, mode="clip")) & (n - 1)
     return node ^ np.left_shift(1, overlay.spec.d - 1 - column, dtype=np.int32)
 
 
@@ -217,12 +224,11 @@ def build_overlay(spec: GeometrySpec, build_seed: int) -> Overlay:
     rng = np.random.default_rng(np.random.SeedSequence(build_seed))
     kind = spec.kind
 
-    if kind in (Geometry.TREE, Geometry.HYPERCUBE, Geometry.XOR):
+    if kind in (Geometry.TREE, Geometry.HYPERCUBE):
         # Bucket-i neighbor (row i-1) flips bit i (bit 1 = most significant)
         # and keeps every other bit, so tree hops correct exactly one bit.
-        roles = tuple(f"bucket-{i}" for i in range(1, d + 1))
-        if kind is not Geometry.XOR:
-            return Overlay(spec, build_seed, None, None, roles)
+        return Overlay(spec)
+    if kind is Geometry.XOR:
         # xor keeps bits 1..i-1, flips bit i, and draws the remaining d-i
         # bits uniformly at random (no draw for the last bucket).
         bits = (1 << np.arange(d - 1, -1, -1)).astype(np.int32)
@@ -232,8 +238,7 @@ def build_overlay(spec: GeometrySpec, build_seed: int) -> Overlay:
             row &= ~(bit - 1)
             _draw_below(rng, 0, bit, suffix)
             row |= suffix
-        return Overlay(spec, build_seed, targets.T, None, roles)
-
+        return Overlay(spec, targets)
     if kind is Geometry.RING:
         # Finger i spans a clockwise offset drawn uniformly from
         # [2^(i-1), 2^i); finger 1 is always the immediate successor.
@@ -241,21 +246,18 @@ def build_overlay(spec: GeometrySpec, build_seed: int) -> Overlay:
         for i in range(1, d + 1):
             low = 1 << (i - 1)
             _draw_below(rng, low, low, spans[i - 1])
-        roles = tuple(f"finger-{i}" for i in range(1, d + 1))
-    elif kind is Geometry.SYMPHONY:
-        # k_n immediate clockwise successors plus k_s shortcuts whose
-        # length floor(N^u), u ~ U[0,1), follows the harmonic law.
-        spans = np.empty((spec.k_n + spec.k_s, n), dtype=np.int32)
-        spans[: spec.k_n] = np.arange(1, spec.k_n + 1, dtype=np.int32)[:, None]
-        for row in range(spec.k_n, spec.k_n + spec.k_s):
-            u = rng.random(n)
-            spans[row] = np.clip(np.floor(n**u).astype(np.int64), 1, n - 1)
-        roles = tuple(f"near-{j}" for j in range(1, spec.k_n + 1)) + tuple(
-            f"shortcut-{j}" for j in range(1, spec.k_s + 1)
-        )
-    else:
-        raise ValueError(f"unknown geometry kind: {kind}")
-    return Overlay(spec, build_seed, None, spans.T, roles)
+        return Overlay(spec, spans)
+    # symphony: k_n immediate clockwise successors plus k_s shortcuts whose
+    # length floor(N^u), u ~ U[0,1), follows the harmonic law, drawn in
+    # place in u.
+    spans = np.empty((spec.k_n + spec.k_s, n), dtype=np.int32)
+    spans[: spec.k_n] = np.arange(1, spec.k_n + 1, dtype=np.int32)[:, None]
+    for row in spans[spec.k_n :]:
+        u = rng.random(n)
+        np.power(n, u, out=u)
+        np.floor(u, out=u)
+        row[...] = np.clip(u, 1, n - 1, out=u)
+    return Overlay(spec, spans)
 
 
 @dataclass(eq=False)
@@ -359,7 +361,7 @@ def _route_batch(overlay: Overlay, alive: np.ndarray, src, dst, row=0):
     n = overlay.n_nodes
     alive = np.ravel(alive)
     if overlay.spec.kind is Geometry.SYMPHONY:
-        spans = overlay._spans
+        spans = overlay.table
 
         def step(node, goal, base):
             # The longest alive span that does not overshoot, one link
@@ -385,7 +387,7 @@ def _route_batch(overlay: Overlay, alive: np.ndarray, src, dst, row=0):
         if ring:
             here = (goal - node) & (n - 1)
             top = _bit_length(here) - 1
-            overshoot = overlay._spans.take(top * n + node) > here
+            overshoot = overlay.table.take(top * n + node) > here
             usable = (2 << top) - 1 - (overshoot << top)
         else:
             usable = node ^ goal

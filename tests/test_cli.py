@@ -367,7 +367,8 @@ def test_main_usage_errors(capsys):
     assert main(["analytic", "--seed", "-1"]) == 1
     assert capsys.readouterr().err == "dht-routability: error: seed must be non-negative\n"
     assert main(["analytic", "--kn", "0"]) == 1
-    assert capsys.readouterr().err == "dht-routability: error: kn and ks must be >= 1\n"
+    err = "dht-routability: error: k_n and k_s must be >= 1, got k_n=0, k_s=1\n"
+    assert capsys.readouterr().err == err
     assert main([]) == 1
     assert main(["analytic", "--geometry", "klein-bottle"]) == 1
     assert main(["analytic", "--d", "16", "--q-stop", "0.99"]) == 1

@@ -73,6 +73,12 @@ def test_spec_validation():
         GeometrySpec(Geometry.SYMPHONY, 8, k_s=0)
     with pytest.raises(ValueError):
         GeometrySpec(Geometry.SYMPHONY, 4, k_s=5)
+    # The k_n, k_s >= 1 rule holds for every kind, though only symphony reads them.
+    for kind in (Geometry.TREE, Geometry.RING):
+        with pytest.raises(ValueError, match=r"got k_n=0, k_s=1$"):
+            GeometrySpec(kind, 8, k_n=0)
+        with pytest.raises(ValueError, match=r"got k_n=1, k_s=0$"):
+            GeometrySpec(kind, 8, k_s=0)
     spec = GeometrySpec("ring", 6)
     assert spec.kind is Geometry.RING
     assert spec.n_nodes == 64

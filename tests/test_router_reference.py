@@ -156,11 +156,9 @@ def test_symphony_duplicate_offsets_match_reference(monkeypatch):
     spec = GeometrySpec(Geometry.SYMPHONY, d, k_n=2, k_s=2)
     ids = np.arange(n)
     shortcut = (ids * 7) % 11 + 1
-    offsets = np.column_stack([np.ones(n), np.full(n, 2), shortcut, shortcut]).astype(np.int32)
-    offsets[::3, 2] = 2
-    targets = ((ids[:, None] + offsets) % n).astype(np.int32)
-    roles = ("near-1", "near-2", "shortcut-1", "shortcut-2")
-    overlay = Overlay(spec, 0, targets, offsets, roles)
+    spans = np.array([np.ones(n), np.full(n, 2), shortcut, shortcut], dtype=np.int32)
+    spans[2, ::3] = 2
+    overlay = Overlay(spec, spans)
     rng = np.random.default_rng(3)
     for q in (0.0, 0.2, 0.5):
         alive = rng.random(n) >= q
@@ -171,16 +169,17 @@ def test_symphony_duplicate_offsets_match_reference(monkeypatch):
 def test_xor_detour_overlay_matches_reference(monkeypatch):
     # The hand-built overlay of test_xor_route_detours_around_failed_neighbor.
     spec = GeometrySpec(Geometry.XOR, 3)
-    targets = np.array([[v ^ 0b100, v ^ 0b010, v ^ 0b001] for v in range(8)], dtype=np.int32)
-    targets[0b010] = [0b111, 0b000, 0b011]
-    targets[0b000] = [0b110, 0b010, 0b001]
-    targets[0b110] = [0b010, 0b100, 0b111]
-    targets[0b100] = [0b011, 0b110, 0b101]
-    overlay = Overlay(spec, 0, targets, None, ("bucket-1", "bucket-2", "bucket-3"))
+    ids = np.arange(8)
+    table = np.array([ids ^ 0b100, ids ^ 0b010, ids ^ 0b001], dtype=np.int32)
+    table[:, 0b010] = [0b111, 0b000, 0b011]
+    table[:, 0b000] = [0b110, 0b010, 0b001]
+    table[:, 0b110] = [0b010, 0b100, 0b111]
+    table[:, 0b100] = [0b011, 0b110, 0b101]
+    overlay = Overlay(spec, table)
     alive = np.ones(8, dtype=bool)
     alive[0b111] = False
     src, dst = _pairs(8, np.random.default_rng(0), limit=64)
-    want = reference_route(Geometry.XOR, targets, None, alive, 0b010, 0b101, 4 * 8)
+    want = reference_route(Geometry.XOR, overlay.targets, None, alive, 0b010, 0b101, 4 * 8)
     assert want == (True, 4, None)
     _assert_agree(monkeypatch, overlay, alive, src, dst, route_checks=64)
 
@@ -203,12 +202,11 @@ def test_mask_router_ring_top_finger_overshoots(monkeypatch):
     # finger 3 (offset 7) and finger 2 at node 3 (offset 3 > 2).
     d = 3
     n = 1 << d
-    offsets = np.tile(np.array([1, 3, 7], dtype=np.int32), (n, 1))
-    targets = ((np.arange(n)[:, None] + offsets) % n).astype(np.int32)
-    spec = GeometrySpec(Geometry.RING, d)
-    overlay = Overlay(spec, 0, targets, offsets, ("finger-1", "finger-2", "finger-3"))
+    spans = np.repeat(np.array([[1], [3], [7]], dtype=np.int32), n, axis=1)
+    overlay = Overlay(GeometrySpec(Geometry.RING, d), spans)
     alive = np.ones(n, dtype=bool)
-    assert reference_route(Geometry.RING, targets, offsets, alive, 0, 5, 4 * n) == (True, 3, None)
+    want = reference_route(Geometry.RING, overlay.targets, overlay.offsets, alive, 0, 5, 4 * n)
+    assert want == (True, 3, None)
     rng = np.random.default_rng(11)
     for q in (0.0, 0.3, 0.6):
         alive = rng.random(n) >= q

@@ -139,6 +139,29 @@ def test_build_rejects_large_symphony_kn(k_n, monkeypatch):
         build_overlay(GeometrySpec(Geometry.SYMPHONY, 4, k_n=k_n), 0)
 
 
+@pytest.mark.parametrize(
+    "kind, shape, match",
+    [
+        (Geometry.TREE, (4, 16), "tree overlays store no link table"),
+        (Geometry.HYPERCUBE, (4, 16), "hypercube overlays store no link table"),
+        (Geometry.XOR, None, "xor overlays store a link table"),
+        (Geometry.RING, None, "ring overlays store a link table"),
+        (Geometry.SYMPHONY, None, "symphony overlays store a link table"),
+        (Geometry.XOR, (3, 16), r"xor link table must be 4 x 16, got \(3, 16\)"),
+        (Geometry.RING, (3, 16), r"ring link table must be 4 x 16, got \(3, 16\)"),
+        (Geometry.SYMPHONY, (3, 16), r"symphony link table must be 2 x 16, got \(3, 16\)"),
+        (Geometry.XOR, (4, 8), r"must be 4 x 16, got \(4, 8\)"),
+        (Geometry.RING, (16, 4), r"must be 4 x 16, got \(16, 4\)"),
+    ],
+)
+def test_overlay_rejects_malformed_table(kind, shape, match):
+    # A table whose presence or shape does not fit the spec: the router
+    # would read the wrong rule, run off a row, or clip into another link.
+    table = None if shape is None else np.ones(shape, dtype=np.int32)
+    with pytest.raises(ValueError, match=match):
+        Overlay(GeometrySpec(kind, 4), table)
+
+
 # --- failure patterns ----------------------------------------------------------
 
 
@@ -182,20 +205,15 @@ def test_xor_route_detours_around_failed_neighbor():
     # d=3 overlay with hand-built buckets: 010 -> 101 with 010's bucket-1
     # neighbor 111 dead must detour 010 -> 000 -> 110 -> 100 -> 101.
     spec = GeometrySpec(Geometry.XOR, 3)
-    targets = np.zeros((8, 3), dtype=np.int32)
-    for v in range(8):  # deterministic suffix-free defaults
-        targets[v] = [v ^ 0b100, v ^ 0b010, v ^ 0b001]
-    targets[0b010] = [0b111, 0b000, 0b011]
-    targets[0b000] = [0b110, 0b010, 0b001]
-    targets[0b110] = [0b010, 0b100, 0b111]
-    targets[0b100] = [0b011, 0b110, 0b101]
-    overlay = Overlay(
-        spec=spec,
-        build_seed=0,
-        targets=targets,
-        offsets=None,
-        roles=("bucket-1", "bucket-2", "bucket-3"),
-    )
+    ids = np.arange(8)
+    # Link-major: row c holds every node's bucket-(c+1) target, suffix-free
+    # by default.
+    table = np.array([ids ^ 0b100, ids ^ 0b010, ids ^ 0b001], dtype=np.int32)
+    table[:, 0b010] = [0b111, 0b000, 0b011]
+    table[:, 0b000] = [0b110, 0b010, 0b001]
+    table[:, 0b110] = [0b010, 0b100, 0b111]
+    table[:, 0b100] = [0b011, 0b110, 0b101]
+    overlay = Overlay(spec, table)
     alive = np.ones(8, dtype=bool)
     alive[0b111] = False
     pattern = FailurePattern(alive=alive, q=0.125, fail_seed=0)
@@ -264,7 +282,8 @@ def test_route_copies_no_overlay_table(kind):
 def test_build_stores_only_its_draws(kind):
     # tree and hypercube keep no table, xor its drawn targets, ring and
     # symphony their drawn spans: one links x N int32 table at most, and
-    # O(N) temporaries (symphony's float64 shortcut draws) besides.
+    # one N-entry float64 temporary (symphony's in-place shortcut draw)
+    # besides.
     d = 16
     n = 1 << d
     spec = GeometrySpec(kind, d)
@@ -278,7 +297,7 @@ def test_build_stores_only_its_draws(kind):
     table = len(overlay.roles) * n * np.dtype(np.int32).itemsize
     stored = 0 if kind in (Geometry.TREE, Geometry.HYPERCUBE) else table
     assert stored <= kept < stored + n
-    assert peak < (table if stored == 0 else stored + 32 * n)
+    assert peak < (table if stored == 0 else stored + 9 * n)
 
 
 @pytest.mark.parametrize("kind", ALL_GEOMETRIES)
