@@ -185,29 +185,28 @@ def hazard_table(spec: GeometrySpec, qs, m_max: int) -> np.ndarray:
         # From row head on, keep is 1 and extra = 1 + extra: a running sum.
         np.cumsum(extra[head - 1 :], axis=0, out=extra[head - 1 :])
         return powers * np.add(1.0, extra, out=extra)
-    if kind is Geometry.RING:
-        w = q * keep
-        # w only grows towards q, so from row steady on it is q itself.
-        steady = _first_row(w == q)
-        tail = np.zeros_like(powers)
-        calls = 1  # rows up to the last that called the power
-        for j, (column, x) in enumerate(zip(w[:steady].T, q.tolist())):
-            column, values = column.tolist(), []
-            for i in range(1, m_max):
-                w_i = column[i] if i < steady else x
-                t = _pow_of_power_of_two(w_i, i)
-                if t == 0.0 and w_i == x:
-                    break  # both hold for good: this column has handed over
-                values.append(t)
-            tail[1 : len(values) + 1, j] = values
-            calls = max(calls, len(values) + 1)
-        # From row live - 1 on, the powers, w and the tail repeat, so Q does.
-        live = min(m_max, max(fixed + 2, calls + 1))
-        out = np.empty_like(powers)
-        out[:live] = powers[:live] * (1.0 - tail[:live]) / (1.0 - w[:live])
-        out[live:] = out[live - 1]
-        return out
-    raise ValueError(f"unknown geometry kind: {kind}")
+    # ring: what is left once tree, symphony, hypercube and xor returned.
+    w = q * keep
+    # w only grows towards q, so from row steady on it is q itself.
+    steady = _first_row(w == q)
+    tail = np.zeros_like(powers)
+    calls = 1  # rows up to the last that called the power
+    for j, (column, x) in enumerate(zip(w[:steady].T, q.tolist())):
+        column, values = column.tolist(), []
+        for i in range(1, m_max):
+            w_i = column[i] if i < steady else x
+            t = _pow_of_power_of_two(w_i, i)
+            if t == 0.0 and w_i == x:
+                break  # both hold for good: this column has handed over
+            values.append(t)
+        tail[1 : len(values) + 1, j] = values
+        calls = max(calls, len(values) + 1)
+    # From row live - 1 on, the powers, w and the tail repeat, so Q does.
+    live = min(m_max, max(fixed + 2, calls + 1))
+    out = np.empty_like(powers)
+    out[:live] = powers[:live] * (1.0 - tail[:live]) / (1.0 - w[:live])
+    out[live:] = out[live - 1]
+    return out
 
 
 def _first_row(mask: np.ndarray) -> int:
@@ -388,11 +387,8 @@ def tree_closed_form(d: int, q: float) -> float:
             )
         r = ((2.0 - q) ** d - 1.0) / denominator
     else:
+        # Positive: d >= 65 and q <= 1 - 2^-53 give log_pn >= 12 ln 2.
         log_pn = d * math.log(2.0) + math.log1p(-q)
-        if log_pn <= 0.0:
-            raise ValueError(
-                f"degenerate denominator: (1-q)*2^d <= 1 at d={d}, q={q}"
-            )
         log_num_pow = d * math.log(2.0 - q)
         log_numerator = log_num_pow + math.log1p(-math.exp(-log_num_pow))
         log_denominator = log_pn + math.log1p(-math.exp(-log_pn))

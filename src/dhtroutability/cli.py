@@ -10,8 +10,9 @@ Subcommands:
   scalability  verdict per (geometry, d, q) with decade-horizon evidence
 
 Every command takes --d as a comma list; rows run geometry by geometry,
-each d in list order.  simulate and compare need every d <= 20 and a
-symphony kn <= 20.  Every usage error is reported before any row runs.
+each d in list order.  simulate and compare need every d and a symphony
+kn of at most simulator.SIM_MAX_D.  Every usage error but a failed write
+is reported before any row runs: --out is opened, and truncated, first.
 
 Flags may also come from a flat key=value config file (--config): each
 line is read as the flag --key=value, and flags given on the command line
@@ -22,8 +23,7 @@ breach under --check.
 from __future__ import annotations
 
 import argparse
-import errno
-import os
+import contextlib
 import sys
 from dataclasses import dataclass
 
@@ -32,7 +32,7 @@ from .analytic import DenominatorMode, routability_sweep
 from .geometry import ALL_GEOMETRIES, Geometry, GeometrySpec
 from .reporting import COLUMNS, render
 from .scalability import classify
-from .simulator import SimSeeds, check_budget, check_scale, estimate_sweep
+from .simulator import SIM_MAX_D, SimSeeds, check_budget, check_scale, estimate_sweep
 
 # Not called here since the grid runs one sweep per (geometry, d), but kept
 # importable: bench/tracing.py swaps these names for timed wrappers.
@@ -261,8 +261,6 @@ def run_grid(config: ExperimentConfig) -> tuple[list[dict], list[str]]:
 
 def _parse_geometries(text: str) -> tuple[Geometry, ...]:
     names = [part.strip().lower() for part in text.split(",") if part.strip()]
-    if not names:
-        raise UsageError("empty geometry list")
     if names == ["all"]:
         return ALL_GEOMETRIES
     try:
@@ -335,7 +333,7 @@ def _build_parser() -> _Parser:
         cmd.add_argument("--config", help="flat key=value config file; flags override")
         cmd.add_argument("--geometry", default="all", help="comma-separated geometries, or 'all'")
         cmd.add_argument("--d", help="identifier lengths in bits, a comma list "
-                         "(simulate and compare: each <= 20)")
+                         f"(simulate and compare: each <= {SIM_MAX_D})")
         cmd.add_argument("--q-start", type=float)
         cmd.add_argument("--q-stop", type=float)
         cmd.add_argument("--q-step", type=float)
@@ -379,40 +377,25 @@ def parse_experiment(argv: list[str]) -> ExperimentConfig:
     )
 
 
-def _check_out_path(path: str) -> None:
-    """UsageError when path cannot be opened for writing because its
-    directory is missing or it is a directory.  The file is not touched."""
-    folder = os.path.dirname(path) or "."
-    if os.path.isdir(path):
-        code = errno.EISDIR
-    elif not os.path.isdir(folder):
-        code = errno.ENOTDIR if os.path.exists(folder) else errno.ENOENT
-    else:
-        return
-    raise UsageError(f"cannot write {path}: {os.strerror(code)}")
-
-
 def main(argv: list[str] | None = None) -> int:
     try:
         config = parse_experiment(sys.argv[1:] if argv is None else argv)
-        if config.out_path:
-            # Fail before the grid runs, not after.
-            _check_out_path(config.out_path)
-        rows, breaches = run_grid(config)
-        text = render(config.output_format, config.metadata(), COLUMNS[config.command], rows)
+        path = config.out_path
+        try:
+            # Opened, and so truncated, before the grid runs, as a shell
+            # redirection would be: open() itself judges the path.
+            with (open(path, "w", encoding="utf-8", newline="") if path
+                  else contextlib.nullcontext(sys.stdout)) as handle:
+                rows, breaches = run_grid(config)
+                handle.write(render(config.output_format, config.metadata(),
+                                    COLUMNS[config.command], rows))
+        except OSError as exc:
+            if not path:
+                raise  # stdout's own errors propagate
+            raise UsageError(f"cannot write {path}: {exc.strerror}") from None
     except UsageError as exc:
         print(f"dht-routability: error: {exc}", file=sys.stderr)
         return 1
-    if config.out_path:
-        try:
-            with open(config.out_path, "w", encoding="utf-8", newline="") as handle:
-                handle.write(text)
-        except OSError as exc:
-            print(f"dht-routability: error: cannot write {config.out_path}: {exc.strerror}",
-                  file=sys.stderr)
-            return 1
-    else:
-        sys.stdout.write(text)
     if config.check and config.command == "compare" and breaches:
         for breach in breaches:
             print(f"dht-routability: tolerance breach: {breach}", file=sys.stderr)

@@ -331,6 +331,11 @@ def test_tree_closed_form_matches_pipeline():
     assert tree_closed_form(16, 0.3) == pytest.approx(res.routability, rel=1e-12)
 
 
+def test_tree_closed_form_rejects_d_below_one():
+    with pytest.raises(ValueError, match="d must be >= 1, got 0"):
+        tree_closed_form(0, 0.1)
+
+
 def test_tree_closed_form_large_d_log_space():
     assert tree_closed_form(100, 0.15) < 0.01
 

@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 import os
@@ -153,6 +154,19 @@ def test_config_validation_errors():
         _config("analytic", trials=0)
     with pytest.raises(UsageError):
         _config("analytic", q_start=0.5, q_stop=0.1)
+    with pytest.raises(UsageError, match="unknown command: bogus"):
+        _config("bogus")
+    with pytest.raises(UsageError, match="unknown format: xml"):
+        _config("analytic", output_format="xml")
+
+
+@pytest.mark.parametrize("flag, error", [
+    ("--geometry", "at least one geometry is required"),
+    ("--d", "at least one d value is required"),
+])
+def test_main_empty_list_is_usage_error(flag, error, capsys):
+    expected = (1, "", f"dht-routability: error: {error}\n")
+    assert _exit_and_output(["analytic", flag, ","], capsys) == expected
 
 
 def _exit_and_output(argv, capsys):
@@ -380,21 +394,54 @@ def test_main_usage_errors(capsys):
 
 
 def test_main_unwritable_out_is_usage_error(tmp_path, capsys, monkeypatch):
-    # The path is checked before the grid runs, and no file is created.
+    # open() judges the path before the grid runs, and no file is created.
     def no_grid(config):
         raise AssertionError("ran the grid")
 
     monkeypatch.setattr(cli, "run_grid", no_grid)
     (tmp_path / "file").write_text("", encoding="utf-8")
-    for out, reason in (
-        (tmp_path / "missing" / "x.csv", "No such file or directory"),
-        (tmp_path, "Is a directory"),
-        (tmp_path / "file" / "x.csv", "Not a directory"),
+    os.symlink(tmp_path / "loop_b", tmp_path / "loop_a")
+    os.symlink(tmp_path / "loop_a", tmp_path / "loop_b")
+    for out, code in (
+        (tmp_path / "missing" / "x.csv", errno.ENOENT),
+        (tmp_path, errno.EISDIR),
+        (tmp_path / "file" / "x.csv", errno.ENOTDIR),
+        (tmp_path / ("x" * 300), errno.ENAMETOOLONG),
+        (tmp_path / "loop_a", errno.ELOOP),
     ):
         assert main(["analytic", "--d", "8", "--out", str(out)]) == 1
-        err = f"dht-routability: error: cannot write {out}: {reason}\n"
+        err = f"dht-routability: error: cannot write {out}: {os.strerror(code)}\n"
         assert capsys.readouterr() == ("", err)
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "loop_a", "loop_b"]
+
+
+def test_main_out_replaces_existing_file(tmp_path, capsys, monkeypatch):
+    # The file is truncated before the grid runs, as a shell redirection
+    # would, and then holds the report alone.
+    argv = ["analytic", "--geometry", "tree", "--d", "8"]
+    code, report, err = _exit_and_output(argv, capsys)
+    assert (code, err) == (0, "")
+    out = tmp_path / "report.csv"
+    out.write_text("stale line\n" * 1000, encoding="utf-8")
+
+    def grid(config):
+        assert out.read_text(encoding="utf-8") == ""
+        return run_grid(config)
+
+    monkeypatch.setattr(cli, "run_grid", grid)
+    assert _exit_and_output([*argv, "--out", str(out)], capsys) == (0, "", "")
+    assert out.read_text(encoding="utf-8") == report
+
+
+def test_main_stdout_write_error_propagates(monkeypatch):
+    # Only --out's errors are usage errors: stdout's are not "cannot write None".
+    class BrokenStdout:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(cli.sys, "stdout", BrokenStdout())
+    with pytest.raises(BrokenPipeError):
+        main(["analytic", "--geometry", "tree", "--d", "8"])
 
 
 @pytest.mark.parametrize("kn", ["21", "1000000000"])

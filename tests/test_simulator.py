@@ -123,6 +123,11 @@ def test_build_determinism_and_seed_sensitivity():
     assert not np.array_equal(a.targets, c.targets)
 
 
+def test_build_rejects_negative_seed():
+    with pytest.raises(ValueError, match="build_seed must be a non-negative integer"):
+        build_overlay(GeometrySpec(Geometry.TREE, 4), -1)
+
+
 def test_build_rejects_large_d():
     with pytest.raises(ValueError, match="d <= 20"):
         build_overlay(GeometrySpec(Geometry.TREE, 21), 0)
@@ -199,6 +204,8 @@ def test_route_validates_endpoints():
         route(overlay, pattern, -1, 3)
     with pytest.raises(ValueError):
         route(overlay, pattern, 0, 16)
+    with pytest.raises(ValueError, match="failure pattern size does not match"):
+        route(overlay, _all_alive(32), 0, 3)
 
 
 def test_xor_route_detours_around_failed_neighbor():
