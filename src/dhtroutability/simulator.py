@@ -35,10 +35,12 @@ every q.  estimate_routability is the one-point sweep.
 Randomized construction choices (XOR bucket suffixes, ring finger
 offsets, symphony shortcut lengths) derive deterministically from a
 64-bit build seed, and failure patterns and pair sampling from their own
-seeds, so identical seeds reproduce bit-identical outcomes.  An overlay,
-Overlay(spec, table), is its spec plus the one table its build draws, a
-link-major links x N int32 table with one contiguous row per link,
-written as it is drawn:
+seeds, so identical seeds reproduce bit-identical outcomes, on any CPU
+count: from PARALLEL_MIN_NODES nodes on, tables and failure uniforms are
+drawn by one thread per CPU, each from its stream jumped ahead to its
+share's first draw, in place (_draw_below shifts raw draws into a table).
+An overlay, Overlay(spec, table), is its spec plus the one table its build
+draws, a link-major links x N int32 table, one contiguous row per link:
 
   tree, hypercube  no table: link c of node v is v ^ (1 << (d - 1 - c))
   xor              the link targets, whose suffixes are drawn
@@ -54,6 +56,8 @@ from __future__ import annotations
 
 import functools
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple
 
@@ -81,6 +85,10 @@ MAX_ROUTES = 100_000_000
 #: N/pairs 8-16 (11 q rows, 0 to 0.5) or 16-32 (one row, q = 0.3) for
 #: hypercube, xor and ring; tree's one-link gather wins from 2 at d >= 14.
 MASK_NODES_PER_PAIR = 10
+
+#: Tables of at least PARALLEL_MIN_NODES nodes are drawn on every CPU, DRAW_CHUNK
+#: entries at a time (measured on 2 CPUs: break-even at d = 15; smaller chunks lose).
+PARALLEL_MIN_NODES = DRAW_CHUNK = 1 << 16
 
 FAILED_DEAD_END = "dead_end"
 FAILED_HOP_CAP = "hop_cap"
@@ -191,6 +199,41 @@ def check_budget(trials: int, pairs_per_trial: int) -> None:
         raise ValueError(f"trials x pairs must be <= {MAX_ROUTES}")
 
 
+def _draw_in_shares(seed: int, table: np.ndarray, per_draw: int, fill) -> np.ndarray:
+    """Fill and return a rows x N table as one PCG64(SeedSequence(seed)) stream
+    drawn row by row, per_draw entries to a raw draw: fill(rng, part, row, node)
+    draws part, table[row, node : node + part.size], from rng, whose next raw
+    draw is that entry's.  From PARALLEL_MIN_NODES nodes on, one share of the
+    parts per usable CPU is drawn on its own thread by a generator jumped ahead
+    to the share's first draw; a share's exception is raised once all are joined.
+    """
+    n = table.shape[1]
+    chunk = max(1, min(DRAW_CHUNK, n))
+    affinity = getattr(os, "sched_getaffinity", None)
+    shares = (len(affinity(0)) if affinity else os.cpu_count() or 1) if n >= PARALLEL_MIN_NODES else 1
+    step = chunk * max(1, -(-table.size // (chunk * shares)))
+    errors = []
+
+    def share(first):
+        try:
+            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)).advance(first // per_draw))
+            for at in range(first, min(first + step, table.size), chunk):
+                row, node = divmod(at, n)
+                fill(rng, table[row, node : node + chunk], row, node)
+        except BaseException as error:
+            errors.append(error)
+
+    threads = [threading.Thread(target=share, args=(first,)) for first in range(step, table.size, step)]
+    for thread in threads:
+        thread.start()
+    share(0)
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+    return table
+
+
 def _draw_below(rng: np.random.Generator, low: int, width: int, out: np.ndarray) -> None:
     """Fill out with rng.integers(low, low + width, size=out.size), the
     same values and generator state, for a power-of-two width below 2^32
@@ -198,16 +241,15 @@ def _draw_below(rng: np.random.Generator, low: int, width: int, out: np.ndarray)
 
     On a power-of-two range Lemire's method never rejects, so each value
     is the top log2(width) bits of one 32-bit output, two per raw 64-bit
-    draw (low half first).  Width 1 draws nothing, as in numpy.
+    draw (low half first), shifted straight into out through a uint32
+    view.  Width 1 draws nothing, as in numpy.
     """
     if width == 1:
         out.fill(low)
         return
     raw = rng.bit_generator.random_raw(out.size // 2).astype("<u8", copy=False)
-    values = raw.view("<u4")
-    values >>= 33 - width.bit_length()
-    values += low
-    out[...] = values
+    np.right_shift(raw.view("<u4"), 33 - width.bit_length(), out=out.view(np.uint32))
+    out += low
 
 
 def build_overlay(spec: GeometrySpec, build_seed: int) -> Overlay:
@@ -221,7 +263,6 @@ def build_overlay(spec: GeometrySpec, build_seed: int) -> Overlay:
     if build_seed < 0:
         raise ValueError("build_seed must be a non-negative integer")
     n = 1 << d
-    rng = np.random.default_rng(np.random.SeedSequence(build_seed))
     kind = spec.kind
 
     if kind in (Geometry.TREE, Geometry.HYPERCUBE):
@@ -230,33 +271,31 @@ def build_overlay(spec: GeometrySpec, build_seed: int) -> Overlay:
         return Overlay(spec)
     if kind is Geometry.XOR:
         # xor keeps bits 1..i-1, flips bit i, and draws the remaining d-i
-        # bits uniformly at random (no draw for the last bucket).
-        bits = (1 << np.arange(d - 1, -1, -1)).astype(np.int32)
-        targets = np.arange(n, dtype=np.int32) ^ bits[:, None]
-        suffix = np.empty(n, dtype=np.int32)
-        for row, bit in zip(targets, bits[:-1].tolist()):
-            row &= ~(bit - 1)
-            _draw_below(rng, 0, bit, suffix)
-            row |= suffix
-        return Overlay(spec, targets)
+        # bits uniformly at random (the last bucket's width 1 draws nothing).
+        def buckets(rng, part, row, node):
+            bit = n >> (row + 1)
+            _draw_below(rng, 0, bit, part)
+            ids = np.arange(node, node + part.size, dtype=np.int32)
+            part |= np.bitwise_xor(np.bitwise_and(ids, -bit, out=ids), bit, out=ids)
+
+        return Overlay(spec, _draw_in_shares(build_seed, np.empty((d, n), dtype=np.int32), 2, buckets))
     if kind is Geometry.RING:
         # Finger i spans a clockwise offset drawn uniformly from
         # [2^(i-1), 2^i); finger 1 is always the immediate successor.
         spans = np.empty((d, n), dtype=np.int32)
-        for i in range(1, d + 1):
-            low = 1 << (i - 1)
-            _draw_below(rng, low, low, spans[i - 1])
+        spans[0] = 1
+        fingers = lambda rng, part, row, node: _draw_below(rng, 2 << row, 2 << row, part)
+        _draw_in_shares(build_seed, spans[1:], 2, fingers)
         return Overlay(spec, spans)
-    # symphony: k_n immediate clockwise successors plus k_s shortcuts whose
-    # length floor(N^u), u ~ U[0,1), follows the harmonic law, drawn in
-    # place in u.
+    # symphony: k_n immediate clockwise successors plus k_s shortcuts of
+    # harmonic length floor(N^u), u ~ U[0,1), drawn in place in u.
+    def shortcuts(rng, part, row, node):
+        u = rng.random(part.size)
+        part[...] = np.clip(np.floor(np.power(n, u, out=u), out=u), 1, n - 1, out=u)
+
     spans = np.empty((spec.k_n + spec.k_s, n), dtype=np.int32)
     spans[: spec.k_n] = np.arange(1, spec.k_n + 1, dtype=np.int32)[:, None]
-    for row in spans[spec.k_n :]:
-        u = rng.random(n)
-        np.power(n, u, out=u)
-        np.floor(u, out=u)
-        row[...] = np.clip(u, 1, n - 1, out=u)
+    _draw_in_shares(build_seed, spans[spec.k_n :], 1, shortcuts)
     return Overlay(spec, spans)
 
 
@@ -280,7 +319,8 @@ class FailurePattern:
 def _failure_uniforms(n_nodes: int, fail_seed: int) -> np.ndarray:
     """One uniform per node from fail_seed; a node fails at q when its
     uniform is below q, so one draw serves every q."""
-    return np.random.default_rng(np.random.SeedSequence(fail_seed)).random(n_nodes)
+    draw = lambda rng, part, row, node: rng.random(out=part)
+    return _draw_in_shares(fail_seed, np.empty((1, n_nodes)), 1, draw)[0]
 
 
 def draw_failure_pattern(n_nodes: int, q: float, fail_seed: int) -> FailurePattern:

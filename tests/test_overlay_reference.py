@@ -10,6 +10,7 @@ column-stacking builder that preceded the one-pass tables.
 """
 
 import hashlib
+import os
 import weakref
 
 import numpy as np
@@ -17,7 +18,7 @@ import pytest
 
 from dhtroutability import simulator
 from dhtroutability.geometry import ALL_GEOMETRIES, Geometry, GeometrySpec
-from dhtroutability.simulator import SimSeeds, build_overlay, estimate_sweep
+from dhtroutability.simulator import SimSeeds, build_overlay, draw_failure_pattern, estimate_sweep
 
 
 def reference_overlay(spec, seed):
@@ -81,6 +82,38 @@ def test_build_overlay_matches_reference(kind, d, seed):
 @pytest.mark.parametrize("seed", [0, 7, 2**62 + 3])
 def test_symphony_multi_link_overlay_matches_reference(seed):
     _assert_matches_reference(GeometrySpec(Geometry.SYMPHONY, 7, k_n=3, k_s=2), seed)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("chunk", [2, 1 << 16])
+@pytest.mark.parametrize(
+    "kind, k_s, d",
+    [
+        (kind, k_s, d)
+        for kind, k_s in [(Geometry.XOR, 1), (Geometry.RING, 1), (Geometry.SYMPHONY, 1), (Geometry.SYMPHONY, 3)]
+        for d in [1, 2, 3, 7, 12]
+        if k_s <= d  # symphony needs k_s <= d
+    ],
+)
+def test_split_build_matches_reference(kind, k_s, d, chunk, cpus, monkeypatch):
+    # Any share count, with chunks of a row or of 2 nodes, draws the tables
+    # one generator draws: each share's stream is jumped ahead exactly.
+    monkeypatch.setattr(simulator, "PARALLEL_MIN_NODES", 0)
+    monkeypatch.setattr(simulator, "DRAW_CHUNK", chunk)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    _assert_matches_reference(GeometrySpec(kind, d, k_s=k_s), 2**62 + 3)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("chunk", [2, 1 << 16])
+@pytest.mark.parametrize("n_nodes", [0, 1, 2, 7, 12, 1001])
+def test_split_failure_draw_matches_one_generator(n_nodes, chunk, cpus, monkeypatch):
+    monkeypatch.setattr(simulator, "PARALLEL_MIN_NODES", 0)
+    monkeypatch.setattr(simulator, "DRAW_CHUNK", chunk)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    want = np.random.default_rng(np.random.SeedSequence(41)).random(n_nodes)
+    assert simulator._failure_uniforms(n_nodes, 41).tolist() == want.tolist()
+    assert draw_failure_pattern(n_nodes, 0.3, 41).alive.tolist() == (want >= 0.3).tolist()
 
 
 @pytest.mark.parametrize("log_width", range(20))

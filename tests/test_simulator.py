@@ -1,4 +1,7 @@
 import math
+import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -286,25 +289,98 @@ def test_route_copies_no_overlay_table(kind):
 
 
 @pytest.mark.parametrize("kind", ALL_GEOMETRIES)
-def test_build_stores_only_its_draws(kind):
+def test_build_stores_only_its_draws(kind, monkeypatch):
     # tree and hypercube keep no table, xor its drawn targets, ring and
     # symphony their drawn spans: one links x N int32 table at most, and
     # one N-entry float64 temporary (symphony's in-place shortcut draw)
-    # besides.
+    # besides.  At d = 16 a chunk is a row, and each share holds one
+    # chunk's temporaries at a time (4 bytes an entry for xor and ring,
+    # 8 for symphony's one-row share), so one or two shares keep the bound.
     d = 16
     n = 1 << d
+    assert n >= simulator.PARALLEL_MIN_NODES
     spec = GeometrySpec(kind, d)
     build_overlay(spec, 1)  # lazy imports and caches are not the build's
-    tracemalloc.start()
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        tracemalloc.start()
+        try:
+            overlay = build_overlay(spec, 5)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        table = len(overlay.roles) * n * np.dtype(np.int32).itemsize
+        stored = 0 if kind in (Geometry.TREE, Geometry.HYPERCUBE) else table
+        assert stored <= kept < stored + n
+        assert peak < (table if stored == 0 else stored + 9 * n)
+        del overlay
+
+
+def _share_threads(monkeypatch, size, fail_on_helper=None):
+    """The distinct threads _draw_in_shares fills a 1 x size table on, with
+    2-entry chunks, from any node count on; fail_on_helper, if given, is
+    raised by each fill a helper thread makes."""
+    monkeypatch.setattr(simulator, "PARALLEL_MIN_NODES", 0)
+    monkeypatch.setattr(simulator, "DRAW_CHUNK", 2)
+    seen = []
+
+    def fill(rng, part, row, node):
+        seen.append(threading.current_thread())
+        if fail_on_helper is not None and seen[-1] is not threading.main_thread():
+            raise fail_on_helper
+        rng.random(out=part)
+
+    simulator._draw_in_shares(3, np.empty((1, size)), 1, fill)
+    return set(seen)
+
+
+def test_draw_shares_follow_cpu_affinity(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert len(_share_threads(monkeypatch, 12)) == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    assert len(_share_threads(monkeypatch, 12)) == 3
+    # No more shares than chunks.
+    assert len(_share_threads(monkeypatch, 4)) == 2
+
+
+def test_draw_shares_fall_back_to_cpu_count(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert len(_share_threads(monkeypatch, 12)) == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert len(_share_threads(monkeypatch, 12)) == 1
+
+
+def test_draw_share_error_is_raised_after_join(monkeypatch):
+    # A helper's exception reaches the caller as itself, and no helper
+    # thread outlives the call.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    before = threading.active_count()
+    error = RuntimeError("helper failed")
+    with pytest.raises(RuntimeError) as raised:
+        _share_threads(monkeypatch, 12, fail_on_helper=error)
+    assert raised.value is error
+    assert threading.active_count() == before
+
+
+def test_draw_shares_under_fast_thread_switching(monkeypatch):
+    # More shares than cores, switching threads every microsecond: the
+    # shares' writes to one table still give the one-generator draws.
+    spec = GeometrySpec(Geometry.XOR, 10)
+    want_targets = build_overlay(spec, 9).table
+    want_uniforms = np.random.default_rng(np.random.SeedSequence(9)).random(4001)
+    monkeypatch.setattr(simulator, "PARALLEL_MIN_NODES", 0)
+    monkeypatch.setattr(simulator, "DRAW_CHUNK", 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
     try:
-        overlay = build_overlay(spec, 5)
-        kept, peak = tracemalloc.get_traced_memory()
+        targets = build_overlay(spec, 9).table
+        uniforms = simulator._failure_uniforms(4001, 9)
     finally:
-        tracemalloc.stop()
-    table = len(overlay.roles) * n * np.dtype(np.int32).itemsize
-    stored = 0 if kind in (Geometry.TREE, Geometry.HYPERCUBE) else table
-    assert stored <= kept < stored + n
-    assert peak < (table if stored == 0 else stored + 9 * n)
+        sys.setswitchinterval(interval)
+    assert np.array_equal(targets, want_targets)
+    assert uniforms.tolist() == want_uniforms.tolist()
 
 
 @pytest.mark.parametrize("kind", ALL_GEOMETRIES)
