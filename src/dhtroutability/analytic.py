@@ -31,12 +31,13 @@ hazard_table is the one definition of Q(m), a phases x q table whose
 column j is the scalar recurrence run at qs[j], bit for bit, and
 cumulative_success the one place the product is formed.  hazard_series
 is one column, and routability and expected_reach are one point of
-routability_sweep.  Only the loop's own roundings are re-run: np.cumsum
-and np.cumprod accumulate left to right, and elementwise +, * and /
-round like Python floats; np.sum, closed forms such as xor's
-P(m) * sum 1/P(k) - 1, and np.power for a scalar ** or math.exp would
-round differently.  exp and log1p act per element, so a range they skip
-changes no other bit.  The closed-form approximations of the xor and
+routability_sweep.  A d list shares one table per geometry but symphony,
+whose Q holds d, and each d reads its first d rows: every step is causal.
+Only the loop's own roundings are re-run: np.cumsum and np.cumprod
+accumulate left to right, and elementwise +, * and / round like Python
+floats; np.sum, closed forms such as xor's P(m) * sum 1/P(k) - 1, and
+np.power for a scalar ** or math.exp would round differently.  exp and
+log1p act per element, so a range they skip changes no other bit.  The closed-form approximations of the xor and
 symphony hazards live in the tests that compare them with these sums.
 
 Long series (the classifier's 10,000 phases) stop where the computed
@@ -45,12 +46,13 @@ x -> x * q (0 for q <= 0.5; for q > 0.5 the subnormal 5e-324, or a small
 multiple of it near q = 1, which rounds back to itself); a log sum once
 a hazard that repeats to the end leaves it unchanged; and a product once
 its sum falls below exp underflow, sparing slow subnormals and exp.
+Below 2^-54 the log sum takes log1p(-h) as -h, its correctly rounded value.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
-import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -243,14 +245,19 @@ def cumulative_success(hazards: np.ndarray) -> np.ndarray:
     first of every 64th row whose p are all 0 (the sums only fall).
     """
     table = hazards.reshape(len(hazards), -1)
-    if len(table) > _DIRECT_PRODUCT_MAX_H:
-        return _log_domain_success(table).reshape(hazards.shape)
-    factors = 1.0 - table
-    p = np.cumprod(factors, axis=0)
-    log_domain = factors.min(axis=0) < _DIRECT_PRODUCT_MIN_FACTOR
-    if log_domain.any():
-        p[:, log_domain] = _log_domain_success(table[:, log_domain])
-    return p.reshape(hazards.shape)
+    return next(_success_prefixes(table, (len(table),))).reshape(hazards.shape)
+
+
+def _success_prefixes(table: np.ndarray, horizons):
+    """cumulative_success(table[:h]) for each h of horizons, in order: a
+    prefix of one direct and, if a horizon's column takes it, one
+    log-domain product of the table, as both are causal."""
+    short = max((h for h in horizons if h <= _DIRECT_PRODUCT_MAX_H), default=0)
+    factors = 1.0 - table[:short]
+    direct, tiny = np.cumprod(factors, axis=0), factors < _DIRECT_PRODUCT_MIN_FACTOR
+    logged = _log_domain_success(table) if max(horizons) > short or tiny.any() else direct
+    for h in horizons:
+        yield logged[:h] if h > short else np.where(tiny[:h].any(axis=0), logged[:h], direct[:h])
 
 
 def _log_domain_success(hazards: np.ndarray) -> np.ndarray:
@@ -263,9 +270,11 @@ def _log_domain_success(hazards: np.ndarray) -> np.ndarray:
     # A hazard of exactly 1 (q within an ulp of 1) gives log1p(-1) = -inf
     # and p = 0 from there on, as it should.
     with np.errstate(under="ignore", divide="ignore"):
-        sums = np.cumsum(np.log1p(-hazards[:stop]), axis=0)
+        logs = np.negative(hazards[:stop])
+        np.log1p(logs, out=logs, where=hazards[:stop] >= 2.0**-54)  # else -h: log1p(-h) rounded
+        sums = np.cumsum(logs, axis=0)
         if stop < count and (sums[-1] != sums[-2]).any():  # the term still moves a sum
-            sums = np.cumsum(np.log1p(-hazards), axis=0)
+            sums = np.cumsum(np.pad(logs, ((0, count - stop), (0, 0)), "edge"), axis=0)
         end = min(len(sums), 64 * _first_row(np.exp(sums[::64]) == 0.0) + 1)
         p = np.empty_like(hazards)
         np.exp(sums[:end], out=p[:end])
@@ -284,14 +293,23 @@ def expected_reach(spec: GeometrySpec, q: float) -> float:
     Returns the exact expectation for d <= 20 and the 2^d-normalized
     value for larger d (matching the profile's normalization).
     """
-    return _expected_reaches(spec, (q,))[0]
+    return _expected_reaches((spec,), (q,))[0][0]
 
 
-def _expected_reaches(spec: GeometrySpec, qs) -> list[float]:
-    """E[S] at every q of qs, one math.fsum per column of one table."""
-    profile = distance_profile(spec).values
-    p = cumulative_success(hazard_table(spec, qs, spec.d))
-    return [math.fsum(map(operator.mul, profile, column.tolist())) for column in p.T]
+def _expected_reaches(specs, qs) -> list[list[float]]:
+    """E[S] for each spec at every q of qs, one math.fsum per column, from
+    one hazard table per geometry, or per symphony spec, at its largest d."""
+    groups: dict = {}
+    for spec in specs:  # each group a dict, to hold a repeated spec once
+        groups.setdefault(spec if spec.kind is Geometry.SYMPHONY else spec.kind, {})[spec] = None
+    reaches = {}
+    for members in groups.values():
+        widest = max(members, key=lambda spec: spec.d)
+        prefixes = _success_prefixes(hazard_table(widest, qs, widest.d), [spec.d for spec in members])
+        for spec, p in zip(members, prefixes):
+            profile = np.array(distance_profile(spec).values, dtype=float)  # counts < 2^53: exact
+            reaches[spec] = [math.fsum(column.tolist()) for column in (p * profile[:, None]).T]
+    return [reaches[spec] for spec in specs]
 
 
 @dataclass(frozen=True)
@@ -323,51 +341,51 @@ def routability(
     is not positive; EXACT_SURVIVORS divides by (2^d - 1)*(1-q).  For
     d > 20 the ratio is formed from normalized quantities.
     """
-    (result,) = routability_sweep(spec, (q,), mode)
+    ((result,),) = routability_sweep((spec,), (q,), mode)
     if isinstance(result, ValueError):
         raise result
     return result
 
 
 def routability_sweep(
-    spec: GeometrySpec, qs, mode: DenominatorMode = DenominatorMode.PN_MINUS_ONE
-) -> list[RoutabilityResult | ValueError]:
-    """routability at every q of qs, from one hazard table.
+    specs, qs, mode: DenominatorMode = DenominatorMode.PN_MINUS_ONE
+) -> list[list[RoutabilityResult | ValueError]]:
+    """routability for each spec at every q of qs, one list per spec.
 
-    Each entry is that q's RoutabilityResult, or the ValueError that
-    routability raises at it, so that one bad q does not end the sweep.
+    Each entry is that RoutabilityResult, or the ValueError routability
+    raises there, so that one bad (spec, q) does not end the sweep.
     """
-    qs = tuple(qs)
+    specs, qs = tuple(specs), tuple(qs)
     mode = DenominatorMode(mode)
     pn = mode is DenominatorMode.PN_MINUS_ONE
-    # N and one node, as counts or (d > 20) as fractions of 2^d.
-    n, one = (1.0, math.ldexp(1.0, -spec.d)) if spec.d > EXACT_PROFILE_MAX_D else (1 << spec.d, 1.0)
-    results: list = []  # each q's denominator or error, then its result
+    valid = []
     for q in qs:
-        try:
+        with contextlib.suppress(ValueError):
             check_q(q)
-            den = (1.0 - q) * n - one if pn else (n - one) * (1.0 - q)
-            if den <= 0.0:  # only (1-q)*N - 1 can be
-                raise ValueError(
-                    f"degenerate denominator: (1-q)*2^d <= 1 at d={spec.d}, q={q}; "
-                    "fewer than one expected survivor besides the root"
-                )
-            results.append(den)
-        except ValueError as exc:
-            results.append(exc)
-    valid = [q for q, den in zip(qs, results) if not isinstance(den, ValueError)]
-    reaches = iter(_expected_reaches(spec, valid) if valid else ())
-    for k, (q, den) in enumerate(zip(qs, results)):
-        if not isinstance(den, ValueError):
-            reach = next(reaches)
+            valid.append(q)
+    sweeps = []
+    for spec, reaches in zip(specs, map(iter, _expected_reaches(specs, valid))):
+        # N and one node, as counts or (d > 20) as fractions of 2^d.
+        n, one = (1.0, math.ldexp(1.0, -spec.d)) if spec.d > EXACT_PROFILE_MAX_D else (1 << spec.d, 1.0)
+        results: list = []
+        for q in qs:
+            try:
+                check_q(q)
+                reach = next(reaches)
+                den = (1.0 - q) * n - one if pn else (n - one) * (1.0 - q)
+                if den <= 0.0:  # only (1-q)*N - 1 can be
+                    raise ValueError(f"degenerate denominator: (1-q)*2^d <= 1 at d={spec.d}, "
+                                     f"q={q}; fewer than one expected survivor besides the root")
+            except ValueError as exc:
+                results.append(exc)
+                continue
             raw = reach / den  # >= 0, as reach >= 0 and den > 0
             r = min(raw, 1.0)
-            results[k] = RoutabilityResult(
+            results.append(RoutabilityResult(
                 spec=spec, q=q, routability=r, failed_fraction=1.0 - r, expected_reach=reach,
-                denominator_mode=mode, clamped=raw > 1.0,
-                reach_normalized=spec.d > EXACT_PROFILE_MAX_D,
-            )
-    return results
+                denominator_mode=mode, clamped=raw > 1.0, reach_normalized=spec.d > EXACT_PROFILE_MAX_D))
+        sweeps.append(results)
+    return sweeps
 
 
 def tree_closed_form(d: int, q: float) -> float:

@@ -34,8 +34,8 @@ from .reporting import COLUMNS, render
 from .scalability import classify
 from .simulator import SIM_MAX_D, SimSeeds, check_budget, check_scale, estimate_sweep
 
-# Not called here since the grid runs one sweep per (geometry, d), but kept
-# importable: bench/tracing.py swaps these names for timed wrappers.
+# Not called here since the grid runs sweeps, but kept importable:
+# bench/tracing.py swaps these names for timed wrappers.
 from .analytic import routability  # noqa: F401
 from .simulator import estimate_routability  # noqa: F401
 
@@ -217,11 +217,11 @@ def run_grid(config: ExperimentConfig) -> tuple[list[dict], list[str]]:
     """One row per (geometry, d, q), plus compare's tolerance breaches.
 
     A row gets analytic cells, then simulated cells, or a verdict, as its
-    command asks.  The analytic and simulated cells read their row's entry
-    from one sweep over the whole q grid per (geometry, d):
-    routability_sweep and estimate_sweep.  A ValueError in an analytic
-    entry or from classify, which hold per q, becomes the row's error and
-    ends that row, and the grid continues.  Every other rule was checked
+    command asks.  The analytic cells read their row's entry from one
+    routability_sweep over every spec and the whole q grid, the simulated
+    cells from one estimate_sweep per (geometry, d).  A ValueError in an
+    analytic entry or from classify, which hold per q, becomes the row's
+    error and ends that row, and the grid continues.  Every other rule was checked
     when the config was built.
     """
     command = config.command
@@ -230,12 +230,12 @@ def run_grid(config: ExperimentConfig) -> tuple[list[dict], list[str]]:
     rows: list[dict] = []
     breaches: list[str] = []
     qs = config.q_grid()
-    for spec in config.specs():
-        results = sims = [None] * len(qs)
-        if analytic:
-            results = routability_sweep(spec, qs, config.denominator_mode)
-        if simulated:
-            sims = estimate_sweep(spec, qs, config.trials, config.pairs_per_trial, config.seeds())
+    specs = config.specs()
+    sweeps = (routability_sweep(specs, qs, config.denominator_mode) if analytic
+              else [[None] * len(qs)] * len(specs))
+    for spec, results in zip(specs, sweeps):
+        sims = (estimate_sweep(spec, qs, config.trials, config.pairs_per_trial, config.seeds())
+                if simulated else [None] * len(qs))
         for q, res, sim in zip(qs, results, sims):
             row = {"geometry": spec.kind.value, "d": spec.d, "n_nodes": spec.n_nodes, "q": q}
             rows.append(row)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dhtroutability import analytic
 from dhtroutability.analytic import (
     DenominatorMode,
     cumulative_success,
@@ -20,6 +21,7 @@ from dhtroutability.analytic import (
     symphony_phase_failure,
     tree_closed_form,
 )
+from dhtroutability.cli import main
 from dhtroutability.geometry import ALL_GEOMETRIES, Geometry, GeometrySpec
 from dhtroutability.scalability import EVIDENCE_HORIZONS, classify
 
@@ -647,7 +649,7 @@ def test_routability_sweep_matches_routability_per_q(mode):
     for kind in ALL_GEOMETRIES:
         for d in TABLE_DS:
             spec = GeometrySpec(kind, d)
-            swept = routability_sweep(spec, qs, mode)
+            (swept,) = routability_sweep((spec,), qs, mode)
             assert len(swept) == len(qs)
             for q, got in zip(qs, swept):
                 try:
@@ -658,18 +660,20 @@ def test_routability_sweep_matches_routability_per_q(mode):
                     continue
                 assert got == want, (kind, d, q)
                 assert got.expected_reach == expected_reach(spec, q), (kind, d, q)
-    assert routability_sweep(GeometrySpec(Geometry.TREE, 4), (), mode) == []
-    assert isinstance(routability_sweep(GeometrySpec(Geometry.TREE, 1), (0.5,))[0], ValueError)
+    assert routability_sweep((GeometrySpec(Geometry.TREE, 4),), (), mode) == [[]]
+    assert routability_sweep((), TABLE_QS, mode) == []
+    assert isinstance(routability_sweep((GeometrySpec(Geometry.TREE, 1),), (0.5,))[0][0], ValueError)
 
 
 @pytest.mark.parametrize("kind", ALL_GEOMETRIES)
 def test_sweeps_take_a_generator_of_q(kind):
-    # Both read their q more than once, so a one-pass iterable must give
-    # what the same q in a tuple give.
+    # Both read their specs and q more than once, so one-pass iterables
+    # must give what the same specs and q in tuples give.
     spec = GeometrySpec(kind, 12)
     qs = (0.0, 0.3, 0.6, -0.1)
-    assert routability_sweep(spec, iter(qs))[:3] == routability_sweep(spec, qs)[:3]
-    assert isinstance(routability_sweep(spec, iter(qs))[3], ValueError)
+    (swept,) = routability_sweep(iter((spec,)), iter(qs))
+    assert swept[:3] == routability_sweep((spec,), qs)[0][:3]
+    assert isinstance(swept[3], ValueError)
     table = hazard_table(spec, iter(qs[:3]), 50)
     assert table.shape == (50, 3)
     assert table.tobytes() == hazard_table(spec, qs[:3], 50).tobytes()
@@ -695,3 +699,110 @@ def test_classify_long_horizon_matches_full_length_reference(kind):
         ), q
         if verdict.decay_horizon is None:
             assert verdict.limit_estimate == float(products[-1]), q
+
+
+# --- one hazard table per geometry for a d list -------------------------------
+#
+# routability_sweep builds one table per N-free geometry, and per symphony
+# spec, at the largest d, and each d reads its first d rows through the
+# product cumulative_success would pick for them.  The d list straddles
+# the 64-phase direct product, comes out of order and repeats; the q hit
+# degenerate denominators (d = 1 from q = 0.5, d = 2 from 0.75) and,
+# within 1e-12 of 1, send every column down the log-domain product even
+# at d <= 64.  One more list mixes every geometry in one call.
+
+SHARED_DS = (100, 10, 65, 64, 10, 1, 2)
+SHARED_QS = (0.0, 5e-324, 0.05, 0.3, 0.5, 0.6, 0.75, 0.8, 0.95, 0.999, 1.0 - 1e-13,
+             1.0 - 2.0**-53, 1.0, -0.1)
+
+
+def _same_entry(got, want):
+    if isinstance(want, ValueError):
+        return isinstance(got, ValueError) and str(got) == str(want)
+    return got == want
+
+
+SHARED_SPECS = {
+    **{kind.value: [GeometrySpec(kind, d) for d in SHARED_DS] for kind in ALL_GEOMETRIES},
+    "symphony-kn3-ks2": [GeometrySpec(Geometry.SYMPHONY, d, 3, min(2, d)) for d in SHARED_DS],
+    "mixed": [GeometrySpec(kind, d) for d in (64, 3) for kind in ALL_GEOMETRIES],
+}
+
+
+@pytest.mark.parametrize("mode", list(DenominatorMode))
+@pytest.mark.parametrize("name", list(SHARED_SPECS))
+def test_routability_sweep_over_a_spec_list_equals_each_spec_alone(name, mode):
+    specs = SHARED_SPECS[name]
+    if specs[0].kind is not Geometry.SYMPHONY:  # whose factors stay above 0.01 here
+        assert (1.0 - hazard_table(specs[0], (1.0 - 1e-13,), 1) < 1e-12).all()
+    shared = routability_sweep(specs, SHARED_QS, mode)
+    assert len(shared) == len(specs)
+    for spec, entries in zip(specs, shared):
+        (alone,) = routability_sweep((spec,), SHARED_QS, mode)
+        assert len(entries) == len(SHARED_QS)
+        for q, got, want in zip(SHARED_QS, entries, alone):
+            assert _same_entry(got, want), (spec, q)
+            try:
+                point = routability(spec, q, mode)
+            except ValueError as exc:
+                point = exc
+            assert _same_entry(got, point), (spec, q)
+    if mode is DenominatorMode.PN_MINUS_ONE and specs[-1].d == 2:  # degenerate from q = 0.75
+        assert sum(isinstance(entry, ValueError) for entry in shared[-1]) > 2
+
+
+def test_success_prefixes_switch_to_log_domain_per_prefix():
+    # A tiny factor first at row k sends a column down the log-domain
+    # product for every horizon from k on, and for no shorter one.
+    rng = np.random.default_rng(20063)
+    table = rng.uniform(0.05, 0.9, (100, 6))
+    for j, row in enumerate((0, 9, 10, 63, 64, 99)):
+        table[row, j] = 1.0 - 1e-13
+    horizons = (100, 10, 65, 64, 10, 1, 2, 11, 63)
+    for h, got in zip(horizons, analytic._success_prefixes(table, horizons), strict=True):
+        assert got.tobytes() == cumulative_success(table[:h]).tobytes(), h
+        for j in range(table.shape[1]):
+            want = _reference_cumulative_success(table[:h, j])
+            assert got[:, j].tobytes() == want.tobytes(), (h, j)
+
+
+def test_asymptotic_builds_one_hazard_table_per_n_free_geometry(monkeypatch, capsys):
+    built = []
+    table = analytic.hazard_table
+
+    def counted(spec, qs, m_max):
+        built.append((spec.kind, m_max))
+        return table(spec, qs, m_max)
+
+    monkeypatch.setattr(analytic, "hazard_table", counted)
+    ds = tuple(range(10, 101, 10))
+    assert main(["asymptotic", "--geometry", "all", "--d", ",".join(map(str, ds))]) == 0
+    rows = [line for line in capsys.readouterr().out.splitlines() if not line.startswith("#")]
+    assert len(rows) == 1 + 5 * len(ds)  # the column header, then one row per spec
+    want = [(kind, 100) for kind in ALL_GEOMETRIES if kind is not Geometry.SYMPHONY]
+    want += [(Geometry.SYMPHONY, d) for d in ds]
+    assert sorted(built) == sorted(want)
+
+
+# --- log1p(-h) is -h below 2^-54 ------------------------------------------------
+
+def test_log1p_of_minus_a_tiny_hazard_is_minus_the_hazard():
+    # The premise of taking -h for log1p(-h) below 2^-54, on this platform:
+    # subnormals, the normal range and the last double below 2^-54.
+    rng = np.random.default_rng(20064)
+    h = np.concatenate((
+        [5e-324, 1e-323, 2.0**-1074 * 12345, 2.0**-1022, np.nextafter(2.0**-54, 0.0)],
+        np.ldexp(rng.uniform(0.5, 1.0, 2000), rng.integers(-1073, -53, 2000)),
+    ))
+    assert ((h >= 5e-324) & (h < 2.0**-54)).all()
+    assert (h < 2.0**-1022).sum() > 10
+    assert (np.log1p(-h) == -h).all()
+
+
+@pytest.mark.parametrize("q", [0.55, 0.6, 0.7, 0.8, 0.9])
+def test_cumulative_success_on_xor_subnormal_tails_equals_log1p_sum(q):
+    hazards = hazard_series(GeometrySpec(Geometry.XOR, 16), q, EVIDENCE_HORIZONS[-1])
+    assert (hazards < 2.0**-1022).sum() > 1000
+    with np.errstate(under="ignore"):
+        want = np.exp(np.cumsum(np.log1p(-hazards)))
+    assert cumulative_success(hazards).tobytes() == want.tobytes()

@@ -104,6 +104,13 @@ GOLDEN = [
         "asymptotic --geometry all --d 1,2,3,64,65,100 --q-start 0 --q-stop 0.95 --q-step 0.05 --kn 3",
         "89b4f3e3589ef63fbfd8000e41a0290e7eed1731d4e83dc11a3b77bee6165994",
     ),
+    (
+        # A repeated geometry and an unsorted d list with repeats that
+        # straddles the 64-phase direct product: rows stay in argv order.
+        "asymptotic-repeats-unsorted",
+        "asymptotic --geometry xor,symphony,xor --d 100,10,65,64,10 --q-start 0 --q-stop 0.95 --q-step 0.05 --kn 3 --ks 2",
+        "479c892661821fb022f1cf04fd8b5fb26cef8f1229cfa7663bb73e7337611fab",
+    ),
 ]
 
 
