@@ -45,8 +45,10 @@ values turn exactly constant, never at a bound: q^m at a fixed point of
 x -> x * q (0 for q <= 0.5; for q > 0.5 the subnormal 5e-324, or a small
 multiple of it near q = 1, which rounds back to itself); a log sum once
 a hazard that repeats to the end leaves it unchanged; and a product once
-its sum falls below exp underflow, sparing slow subnormals and exp.
-Below 2^-54 the log sum takes log1p(-h) as -h, its correctly rounded value.
+its sum falls below exp underflow, sparing slow subnormals and exp.  A
+repeating tail (all of tree's and symphony's) takes log1p once, and the
+classifier takes exp only at its horizons.  Below 2^-54 the log sum
+takes log1p(-h) as -h, its correctly rounded value.
 """
 
 from __future__ import annotations
@@ -54,8 +56,8 @@ from __future__ import annotations
 import contextlib
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from enum import Enum
-from fractions import Fraction
 
 import numpy as np
 
@@ -78,7 +80,8 @@ class DenominatorMode(str, Enum):
 
     PN_MINUS_ONE divides E[S] by (1-q)*N - 1, the mean survivor count
     minus one.  At small N this undercounts the exact expected number of
-    surviving targets and can push the ratio above 1 (clamped, flagged).
+    surviving targets and can push the ratio above 1 (clamped to 1, as
+    RoutabilityResult.clamped records).
     EXACT_SURVIVORS divides by (N-1)*(1-q), the exact expected number of
     surviving non-root nodes.
     """
@@ -93,11 +96,13 @@ class DenominatorMode(str, Enum):
 def suboptimal_hop_cap(d: int, q: float) -> int:
     """ceil(d / (1-q)), the cap on wasted hops per symphony phase.
 
-    Evaluated in exact rational arithmetic on q's shortest decimal form,
-    so grid values behave like hand arithmetic (12/(1-0.4) is exactly 20)
-    instead of inheriting binary round-off from the float.
+    Evaluated in integers from the exact ratio num/den of q's shortest
+    decimal form, as ceil(d * den / (den - num)), so grid values behave
+    like hand arithmetic (12/(1-0.4) is exactly 20) instead of inheriting
+    binary round-off from the float.
     """
-    return math.ceil(Fraction(d) / (1 - Fraction(repr(float(q)))))
+    num, den = Decimal(repr(float(q))).as_integer_ratio()
+    return -(-d * den // (den - num))
 
 
 def _pow_of_power_of_two(base: float, log2_exponent: int) -> float:
@@ -261,25 +266,33 @@ def _success_prefixes(table: np.ndarray, horizons):
 
 
 def _log_domain_success(hazards: np.ndarray) -> np.ndarray:
-    """exp(cumsum(log1p(-hazards))) down each column, stopped where it
-    turns constant (see cumulative_success)."""
-    count = len(hazards)
-    # Rows from stop - 1 on equal the last (stop is count + 1 if none do).
-    differs = (hazards != hazards[-1]).any(axis=1)
-    stop = count + 1 - int(np.argmax(differs[::-1]))
-    # A hazard of exactly 1 (q within an ulp of 1) gives log1p(-1) = -inf
-    # and p = 0 from there on, as it should.
-    with np.errstate(under="ignore", divide="ignore"):
-        logs = np.negative(hazards[:stop])
-        np.log1p(logs, out=logs, where=hazards[:stop] >= 2.0**-54)  # else -h: log1p(-h) rounded
-        sums = np.cumsum(logs, axis=0)
-        if stop < count and (sums[-1] != sums[-2]).any():  # the term still moves a sum
-            sums = np.cumsum(np.pad(logs, ((0, count - stop), (0, 0)), "edge"), axis=0)
+    """exp of _log_sums, stopped where p turns constant (see cumulative_success)."""
+    sums = _log_sums(hazards)
+    with np.errstate(under="ignore"):
         end = min(len(sums), 64 * _first_row(np.exp(sums[::64]) == 0.0) + 1)
         p = np.empty_like(hazards)
         np.exp(sums[:end], out=p[:end])
     p[end:] = p[end - 1]
     return p
+
+
+def _log_sums(hazards: np.ndarray) -> np.ndarray:
+    """cumsum(log1p(-hazards)) down each column, cut after the first row
+    of a repeating tail whose term left every sum unchanged: each later
+    row would equal the last row kept.  A hazard of exactly 1 (q within
+    an ulp of 1) gives log1p(-1) = -inf and p = 0 from there on."""
+    count = len(hazards)
+    differs = (hazards != hazards[-1]).any(axis=1)
+    tail = count - int(np.argmax(differs[::-1])) if differs.any() else 0  # rows from tail on equal the last
+    sums, head = np.negative(hazards), slice(0, tail + 1)
+    with np.errstate(under="ignore", divide="ignore"):
+        np.log1p(sums[head], out=sums[head], where=hazards[head] >= 2.0**-54)  # else -h: log1p(-h) rounded
+        sums[tail + 1 :] = sums[tail]  # the tail's one term, taken once
+        np.cumsum(sums[head], axis=0, out=sums[head])
+        if tail + 1 < count and (sums[tail] != (sums[tail - 1] if tail else 0.0)).any():
+            np.cumsum(sums[tail:], axis=0, out=sums[tail:])  # the term still moves a sum
+            return sums
+    return sums[head]
 
 
 def success_series(spec: GeometrySpec, q: float, h_max: int) -> np.ndarray:

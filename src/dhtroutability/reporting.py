@@ -88,11 +88,20 @@ def format_value(value) -> str:
     return _format_scalar(value)
 
 
+def _format_column(values: list) -> list[str]:
+    """format_value of each cell; a column of reals needs no type tests."""
+    if all(isinstance(value, float) for value in values):
+        return [format(value, ".10g") for value in values]
+    return list(map(format_value, values))
+
+
 def render_csv(metadata: dict, columns: tuple[str, ...], rows: list[dict]) -> str:
     lines = [f"# {key}={_format_scalar(value)}" for key, value in metadata.items()]
     lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(format_value(row.get(col)) for col in columns))
+    for start in range(0, len(rows), 1024):  # a column at a time, holding one block's cells
+        block = rows[start : start + 1024]
+        cells = [_format_column([row.get(col) for row in block]) for col in columns]
+        lines.extend(map(",".join, zip(*cells)))
     return "\n".join(lines) + "\n"
 
 

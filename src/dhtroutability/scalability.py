@@ -27,7 +27,7 @@ from enum import Enum
 
 import numpy as np
 
-from .analytic import cumulative_success, hazard_series
+from .analytic import _log_sums, hazard_series
 from .geometry import Geometry, GeometrySpec
 
 #: Decade horizons at which evidence is sampled.
@@ -84,11 +84,14 @@ def classify(spec: GeometrySpec, q: float) -> ScalabilityVerdict:
     hazards = hazard_series(spec, q, horizon)
     live = horizon - int(np.argmax(hazards[::-1] != 0.0))  # sums stop at the last nonzero
     sums = np.cumsum(hazards[:live])
-    products = cumulative_success(hazards)
+    # p at the horizons only, as cumulative_success's log-domain product; past the cut, the last row
+    logs = _log_sums(hazards[:, None])[:, 0]
+    with np.errstate(under="ignore"):
+        products = np.exp(logs[[min(h, len(logs)) - 1 for h in EVIDENCE_HORIZONS]]).tolist()
     partial_sums = tuple((m, float(sums[min(m, live) - 1])) for m in EVIDENCE_HORIZONS)
-    partial_products = tuple((h, float(products[h - 1])) for h in EVIDENCE_HORIZONS)
+    partial_products = tuple(zip(EVIDENCE_HORIZONS, products))
 
-    verdict, limit_estimate, decay_horizon = Verdict.SCALABLE, float(products[-1]), None
+    verdict, limit_estimate, decay_horizon = Verdict.SCALABLE, products[-1], None
     if spec.kind in _UNSCALABLE_KINDS:
         # Constant hazard: p(h) = (1 - Q)^h, so the decay horizon has a
         # closed form and needs no cap; at some subnormal q it is infinite.

@@ -1,6 +1,7 @@
 import math
 import random
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -140,6 +141,12 @@ def test_suboptimal_hop_cap_exact_ceiling():
     assert suboptimal_hop_cap(12, 0.4) == 20
     assert suboptimal_hop_cap(12, 0.5) == 24
     assert suboptimal_hop_cap(12, 0.1) == 14
+    # The integer ceiling against the rational one on q's shortest decimal
+    # form, including 0.1 + 0.2 (0.30000000000000004) and a subnormal q.
+    for q in (5e-324, 1e-5, 0.1, 0.1 + 0.2, 0.4, 0.5, 0.95):
+        for d in range(1, 101):
+            want = math.ceil(Fraction(d) / (1 - Fraction(repr(q))))
+            assert suboptimal_hop_cap(d, q) == want, (d, q)
 
 
 def test_approximations_track_exact_values():
@@ -679,26 +686,45 @@ def test_sweeps_take_a_generator_of_q(kind):
     assert table.tobytes() == hazard_table(spec, qs[:3], 50).tobytes()
 
 
+def _bits(values):
+    return np.array(values, dtype=float).tobytes()
+
+
 @pytest.mark.parametrize("kind", ALL_GEOMETRIES)
 def test_classify_long_horizon_matches_full_length_reference(kind):
     # q = 0.3 and 0.5 drive q^m to exactly 0; from 0.505 on it sticks at a
     # subnormal fixed point instead, and at 0.95 it never gets there.  The
     # stopped series must give the full-length reference's evidence bits.
+    # classify takes exp at the horizons alone, past the log sums' cut too:
+    # tree's and symphony's constant columns, p that underflows to 0 well
+    # before 10,000 phases, xor's subnormal tail and, at 1 - 2^-53,
+    # hazards of exactly 1.
     spec = GeometrySpec(kind, 16)
     horizon = EVIDENCE_HORIZONS[-1]
-    for q in (0.3, 0.5, 0.505, 0.525, 0.9, 0.95):
+    underflows = subnormal_tails = 0
+    for q in (*(q for q in TABLE_QS if q > 0.0), 1.0 - 2.0**-53):
         hazards = _reference_hazards(spec, q, horizon)
         sums = np.cumsum(hazards)
-        products = _reference_cumulative_success(hazards)
+        with np.errstate(divide="ignore"):
+            products = _reference_cumulative_success(hazards)
+        if q == 5e-324 and kind in (Geometry.TREE, Geometry.SYMPHONY):
+            with pytest.raises(ValueError, match="decay horizon is not finite"):
+                classify(spec, q)  # (1 - Q)^h does not fall below 1e-6 in floats
+            continue
         verdict = classify(spec, q)
         assert verdict.partial_sums == tuple(
             (m, float(sums[m - 1])) for m in EVIDENCE_HORIZONS
         ), q
-        assert verdict.partial_products == tuple(
-            (h, float(products[h - 1])) for h in EVIDENCE_HORIZONS
+        assert [h for h, _ in verdict.partial_products] == list(EVIDENCE_HORIZONS)
+        assert _bits([p for _, p in verdict.partial_products]) == _bits(
+            [products[h - 1] for h in EVIDENCE_HORIZONS]
         ), q
         if verdict.decay_horizon is None:
-            assert verdict.limit_estimate == float(products[-1]), q
+            assert _bits([verdict.limit_estimate]) == _bits([products[-1]]), q
+        underflows += bool(products[1_000] == 0.0 < products[0])
+        subnormal_tails += bool(0.0 < hazards[-1] < np.finfo(float).tiny)
+    assert underflows > 0
+    assert subnormal_tails > 0 or kind is not Geometry.XOR
 
 
 # --- one hazard table per geometry for a d list -------------------------------

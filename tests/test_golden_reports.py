@@ -60,11 +60,17 @@ GOLDEN = [
         "c8a6bd1347598c430f31c0f1730c46c181db950f61dcea6b5f622f44e4bcc3f3",
     ),
     (
-        # The benchmark's analytic-sweep reports: hazard series out to
-        # d = 100 phases, then out to the 10,000-phase scalability horizon.
+        # The benchmark's two analytic-sweep reports, this and the next:
+        # hazard series out to d = 100 phases, then out to the 10,000-phase
+        # scalability horizon.
         "asymptotic-d10-100",
         "asymptotic --geometry all --d 10,20,30,40,50,60,70,80,90,100 --q-start 0 --q-stop 0.95 --q-step 0.005",
         "2c5fdc4fb895a9184b6e7a6e506b3ed2643919d2fe57f52894de45ba423234ec",
+    ),
+    (
+        "scalability-fine",
+        "scalability --q-start 0.005 --q-stop 0.95 --q-step 0.005",
+        "183db0d5f949ac2e37ef0c63bbd065c6dc40cb31dab9c56470db5e10c832bb4d",
     ),
     (
         # symphony with 3 near links and 4 shortcuts: the per-column span
@@ -79,11 +85,6 @@ GOLDEN = [
         "compare-d-list",
         "compare --geometry tree,symphony --d 6,8 --trials 3 --pairs 300 --seed 5",
         "ceb18187176c907595b6cca1924ba5ced36c729f3c4a94f7917837ef59ee115a",
-    ),
-    (
-        "scalability-fine",
-        "scalability --q-start 0.005 --q-stop 0.95 --q-step 0.005",
-        "183db0d5f949ac2e37ef0c63bbd065c6dc40cb31dab9c56470db5e10c832bb4d",
     ),
     (
         # Multi-q tables at the smallest and largest d, with 3 near links and
