@@ -37,18 +37,19 @@ Only the loop's own roundings are re-run: np.cumsum and np.cumprod
 accumulate left to right, and elementwise +, * and / round like Python
 floats; np.sum, closed forms such as xor's P(m) * sum 1/P(k) - 1, and
 np.power for a scalar ** or math.exp would round differently.  exp and
-log1p act per element, so a range they skip changes no other bit.  The closed-form approximations of the xor and
-symphony hazards live in the tests that compare them with these sums.
+log1p act per element, so a range they skip changes no other bit.  The
+closed-form approximations of the xor and symphony hazards live in the
+tests that compare them with these sums.
 
 Long series (the classifier's 10,000 phases) stop where the computed
 values turn exactly constant, never at a bound: q^m at a fixed point of
 x -> x * q (0 for q <= 0.5; for q > 0.5 the subnormal 5e-324, or a small
-multiple of it near q = 1, which rounds back to itself); a log sum once
-a hazard that repeats to the end leaves it unchanged; and a product once
-its sum falls below exp underflow, sparing slow subnormals and exp.  A
-repeating tail (all of tree's and symphony's) takes log1p once, and the
-classifier takes exp only at its horizons.  Below 2^-54 the log sum
-takes log1p(-h) as -h, its correctly rounded value.
+multiple of it near q = 1, which rounds back to itself); ring's tail
+w^(2^(m-1)) once q^(2^(m-1)) is 0, past which w <= q leaves 1 - tail at
+1; and a log sum once a hazard that repeats to the end leaves it
+unchanged.  A repeating tail (all of tree's and symphony's) takes log1p
+once, and the classifier takes exp only at its horizons.  Below 2^-54
+the log sum takes log1p(-h) as -h, its correctly rounded value.
 """
 
 from __future__ import annotations
@@ -105,16 +106,6 @@ def suboptimal_hop_cap(d: int, q: float) -> int:
     return -(-d * den // (den - num))
 
 
-def _pow_of_power_of_two(base: float, log2_exponent: int) -> float:
-    """base ** (2 ** log2_exponent) for 0 < base < 1, underflowing to 0."""
-    if log2_exponent <= 60:
-        return base ** (1 << log2_exponent)
-    if log2_exponent <= 1023:
-        return math.exp(math.ldexp(1.0, log2_exponent) * math.log(base))
-    # 2^1024 * log(base) is below exp underflow for any float base < 1.
-    return 0.0
-
-
 def symphony_phase_failure(q: float, d: int, k_n: int, k_s: int) -> float:
     """Per-phase failure for symphony routing; constant across phases.
 
@@ -148,16 +139,15 @@ def hazard_table(spec: GeometrySpec, qs, m_max: int) -> np.ndarray:
     prod_{j=m-k..m-1}(1-q^j): each k-term is one more wasted lower-bit
     correction before all remaining useful neighbors are found dead.
     ring sums q^m * w^k over the up to 2^(m-1) progress-free hops a phase
-    may waste, with the huge power w^(2^(m-1)) evaluated as
-    exp(2^(m-1) * ln w) and underflow to zero accepted.  m_max may exceed
-    spec.d; symphony holds d fixed inside Q.
+    may waste, with the huge power w^(2^(m-1)) taken by Python's pow
+    while q^(2^(m-1)) is nonzero; past that, w <= q leaves it too small
+    to move 1 - w^(2^(m-1)), and Q repeats once q^m does.  m_max may
+    exceed spec.d; symphony holds d fixed inside Q.
 
     xor's extra term runs as a scalar loop down each column until every
     1 - q^(m-1) has rounded to 1, then as extra = 1 + extra, a running
-    sum.  ring calls the scalar _pow_of_power_of_two per element until its
-    column's w equals q and the huge power is 0, both for good.
-    hypercube's q^m is computed while m * log2(1/q) <= 1076; past that it
-    lies below half the smallest subnormal and is 0.
+    sum.  hypercube's q^m is computed while m * log2(1/q) <= 1076; past
+    that it lies below half the smallest subnormal and is 0.
     """
     qs = tuple(qs)
     for x in qs:
@@ -194,22 +184,14 @@ def hazard_table(spec: GeometrySpec, qs, m_max: int) -> np.ndarray:
         return powers * np.add(1.0, extra, out=extra)
     # ring: what is left once tree, symphony, hypercube and xor returned.
     w = q * keep
-    # w only grows towards q, so from row steady on it is q itself.
-    steady = _first_row(w == q)
     tail = np.zeros_like(powers)
-    calls = 1  # rows up to the last that called the power
-    for j, (column, x) in enumerate(zip(w[:steady].T, q.tolist())):
-        column, values = column.tolist(), []
-        for i in range(1, m_max):
-            w_i = column[i] if i < steady else x
-            t = _pow_of_power_of_two(w_i, i)
-            if t == 0.0 and w_i == x:
-                break  # both hold for good: this column has handed over
-            values.append(t)
-        tail[1 : len(values) + 1, j] = values
-        calls = max(calls, len(values) + 1)
-    # From row live - 1 on, the powers, w and the tail repeat, so Q does.
-    live = min(m_max, max(fixed + 2, calls + 1))
+    for j, x in enumerate(q.tolist()):
+        # w <= q, so from the first i with q ** 2^i = 0 on, 1 - w ** 2^i is 1.
+        rows = next((i for i in range(1, m_max) if x ** (1 << i) == 0.0), m_max)
+        tail[1:rows, j] = [w_i ** (1 << i) for i, w_i in enumerate(w[1:rows, j].tolist(), 1)]
+    # From row fixed + 1 on, the powers and w repeat and the tail, which ends
+    # by row 63, is 0 (fixed is 0 only where every q is).
+    live = min(m_max, fixed + 2)
     out = np.empty_like(powers)
     out[:live] = powers[:live] * (1.0 - tail[:live]) / (1.0 - w[:live])
     out[live:] = out[live - 1]
@@ -246,8 +228,7 @@ def cumulative_success(hazards: np.ndarray) -> np.ndarray:
     factors directly up to 64 phases while every factor is at least 1e-12,
     and otherwise takes exp of a log1p(-Q) sum, which stops where p turns
     exactly constant: at the first row of a repeating tail (zeros, or
-    ring's subnormal) whose term left every sum unchanged, and at the
-    first of every 64th row whose p are all 0 (the sums only fall).
+    ring's subnormal) whose term left every sum unchanged.
     """
     table = hazards.reshape(len(hazards), -1)
     return next(_success_prefixes(table, (len(table),))).reshape(hazards.shape)
@@ -266,13 +247,11 @@ def _success_prefixes(table: np.ndarray, horizons):
 
 
 def _log_domain_success(hazards: np.ndarray) -> np.ndarray:
-    """exp of _log_sums, stopped where p turns constant (see cumulative_success)."""
-    sums = _log_sums(hazards)
+    """exp of _log_sums, whose last row repeats past their cut."""
+    sums, p = _log_sums(hazards), np.empty_like(hazards)
     with np.errstate(under="ignore"):
-        end = min(len(sums), 64 * _first_row(np.exp(sums[::64]) == 0.0) + 1)
-        p = np.empty_like(hazards)
-        np.exp(sums[:end], out=p[:end])
-    p[end:] = p[end - 1]
+        np.exp(sums, out=p[: len(sums)])
+    p[len(sums) :] = p[len(sums) - 1]
     return p
 
 

@@ -33,10 +33,6 @@ from .geometry import Geometry, GeometrySpec
 #: Decade horizons at which evidence is sampled.
 EVIDENCE_HORIZONS = (10, 100, 1_000, 10_000)
 
-#: Partial products that move less than this between the last two decades
-#: count as converged.
-CONVERGENCE_TOL = 1e-9
-
 #: Threshold defining the decay horizon of an unscalable geometry.
 DECAY_THRESHOLD = 1e-6
 
@@ -80,15 +76,14 @@ def classify(spec: GeometrySpec, q: float) -> ScalabilityVerdict:
             f"scalability is defined for 0 < q < 1, got q={q}: with no "
             "failures every geometry routes perfectly at any size"
         )
-    horizon = EVIDENCE_HORIZONS[-1]
-    hazards = hazard_series(spec, q, horizon)
-    live = horizon - int(np.argmax(hazards[::-1] != 0.0))  # sums stop at the last nonzero
-    sums = np.cumsum(hazards[:live])
-    # p at the horizons only, as cumulative_success's log-domain product; past the cut, the last row
+    hazards = hazard_series(spec, q, EVIDENCE_HORIZONS[-1])
+    sums = np.cumsum(hazards)
+    # p at the horizons only, as cumulative_success's log-domain product:
+    # past the log sums' cut, their last row.
     logs = _log_sums(hazards[:, None])[:, 0]
     with np.errstate(under="ignore"):
         products = np.exp(logs[[min(h, len(logs)) - 1 for h in EVIDENCE_HORIZONS]]).tolist()
-    partial_sums = tuple((m, float(sums[min(m, live) - 1])) for m in EVIDENCE_HORIZONS)
+    partial_sums = tuple((m, float(sums[m - 1])) for m in EVIDENCE_HORIZONS)
     partial_products = tuple(zip(EVIDENCE_HORIZONS, products))
 
     verdict, limit_estimate, decay_horizon = Verdict.SCALABLE, products[-1], None

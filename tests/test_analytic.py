@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import warnings
@@ -404,19 +405,21 @@ def test_hypercube_oracle_small_instance():
 # --- exact head/tail evaluation ----------------------------------------------
 #
 # hazard_table turns xor's recurrence into a running sum once every
-# 1 - q^(m-1) rounds to 1, stops ring's scalar powers once w = q and the
-# power is 0, multiplies q^m in doubling chunks that stop at a fixed point
-# of x -> x * q, and cuts hypercube's powers where they underflow;
-# cumulative_success stops its log-domain sum where a repeating tail leaves
-# it unchanged and its exp where p reaches 0.  The references below are
-# the plain scalar loops, the full-length power and the full log-domain
-# product; the fast paths must match them bit for bit.
+# 1 - q^(m-1) rounds to 1, stops ring's huge powers w^(2^(m-1)) once q's
+# own power q^(2^(m-1)) is 0 and repeats ring's Q from row fixed + 2 of
+# _powers, multiplies q^m in doubling chunks that stop at a fixed point of
+# x -> x * q, and cuts hypercube's powers where they underflow;
+# cumulative_success stops its log-domain sum where a repeating tail
+# leaves it unchanged.  The references below are the plain scalar loops,
+# the full-length power and the full log-domain product; the fast paths
+# must match them bit for bit.
 #
 # Points run: every q of EXACT_Q (0, the smallest subnormal, 1e-300, 1e-5,
 # the 0.005 grid to 0.995, 0.999, 1 - 2^-20, 1 - 2^-53 and 20 seeded random
-# q), plus per q the horizons around the m where the xor or ring loop may
-# hand over (m and m + HANDOVER_MARGIN, each +-1), around the chunk ends
-# of q^m (+-1) and around hypercube's zero cut (+-2).  The horizons are 1,
+# q), plus per q the horizons around the m where xor's loop hands over or
+# ring's w settles at q (m and m + HANDOVER_MARGIN, each +-1), around
+# ring's tail stop and repeat row (+-1), around the chunk ends of q^m (+-1)
+# and around hypercube's zero cut (+-2).  The horizons are 1,
 # 2, 3, 64, 65, 100 and 1,000 for every q, and 10,000 for every q off the
 # 0.005 grid and every fifth q on it (the 0.025 grid): the scalar
 # references cost ~3 ms per q at 10,000 phases.  Each reference series is
@@ -501,7 +504,9 @@ def _reference_cumulative_success(hazards):
 
 
 def _handover_m(kind, q):
-    """First m at which the xor or ring loop's tail condition holds."""
+    """First m at which xor's 1 - q^(m-1) rounds to 1, so its loop hands
+    over to a running sum, or at which ring's w has settled at q with a
+    tail of 0, so that its Q is q^m / (1 - q) from there on."""
     q_prev = 1.0
     for m in range(2, EXACT_HORIZON_MAX + 1):
         q_prev *= q
@@ -523,6 +528,10 @@ def _boundary_horizons(kind, q, reference):
         return tuple(m + k for m in (cut, first_zero) for k in range(-2, 3))
     m = _handover_m(kind, q)
     ends = tuple(b + k for b in CHUNK_ENDS for k in (-1, 0, 1))
+    if kind is Geometry.RING:  # the tail's stop, and the row from which Q repeats
+        stop = 1 + next(i for i in itertools.count() if q ** (1 << i) == 0.0)
+        fixed = analytic._powers(np.array([q]), len(reference))[1]
+        ends += tuple(b + k for b in (stop, fixed + 2) for k in (-1, 0, 1))
     if m is None:
         return ends
     return ends + tuple(b + k for b in (m, m + HANDOVER_MARGIN) for k in (-1, 0, 1))
@@ -549,6 +558,21 @@ def test_hazard_series_bitwise_equals_scalar_reference(kind):
                     cumulative_success(got).tobytes()
                     == _reference_cumulative_success(want).tobytes()
                 ), (q, m_max)
+
+
+def test_ring_table_equals_reference_at_dense_q():
+    # The tail stops where q ** 2^(m-1) is 0, as w <= q leaves 1 - tail at
+    # 1 from there: seeded q across (0, 1), 1 - 2^-k up to the largest
+    # double below 1, and subnormal q.
+    rng = random.Random(20065)
+    qs = (
+        *(rng.random() for _ in range(2000)),
+        *(1.0 - 2.0**-k for k in range(1, 54)),
+        5e-324, 1e-323, 2.0**-1074 * 12345, float(np.nextafter(2.0**-1022, 0.0)),
+    )
+    table = hazard_table(GeometrySpec(Geometry.RING, 12), qs, 100)
+    for j, q in enumerate(qs):
+        assert table[:, j].tobytes() == _reference_ring(q, 100).tobytes(), q
 
 
 def test_cumulative_success_bitwise_equals_reference_with_trailing_zeros():
@@ -583,8 +607,8 @@ def test_cumulative_success_bitwise_equals_reference_with_repeating_tail():
 
 
 def test_cumulative_success_hazard_of_one_on_a_probed_row():
-    # p drops from 1 to exactly 0 on a row exp checks (every 64th), and
-    # on the rows next to it.
+    # p drops from 1 to exactly 0 at one row, on or next to a multiple of
+    # 64, and the zeros after it are a repeating tail the log sum cuts.
     for row in (63, 64, 65, 128, 192, 999):
         hazards = np.zeros(1000)
         hazards[row] = 1.0
