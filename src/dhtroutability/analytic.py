@@ -23,9 +23,10 @@ The expected reachable-set size from an alive root is
     E[S] = sum_{h=1..d} n(h) * p(h, q)
 
 and routability divides E[S] by one of two survivor-count conventions
-(see DenominatorMode).  For d > 20 all sums run on normalized weights
-n(h)/2^d and products accumulate in the log domain, which keeps d = 100
-evaluations stable.
+(see DenominatorMode).  Every sum runs on the absolute counts n(h): at
+d = 1000, the largest d accepted, N = 2^1000 ~ 1.1e301 is still a finite
+double.  Products switch to the log domain past 64 phases or at a factor
+below 1e-12 (see cumulative_success).
 
 hazard_table is the one definition of Q(m), a phases x q table whose
 column j is the scalar recurrence run at qs[j], bit for bit, and
@@ -62,13 +63,7 @@ from enum import Enum
 
 import numpy as np
 
-from .geometry import (
-    EXACT_PROFILE_MAX_D,
-    Geometry,
-    GeometrySpec,
-    check_q,
-    distance_profile,
-)
+from .geometry import MAX_D, Geometry, GeometrySpec, check_q, distance_profile
 
 # Products switch to log-domain accumulation past this horizon or when
 # any surviving factor drops below this threshold.
@@ -112,19 +107,12 @@ def symphony_phase_failure(q: float, d: int, k_n: int, k_s: int) -> float:
     q^(k_n+k_s) * sum_{j=0..J} x^j where x = 1 - k_s/d - q^(k_n+k_s) is
     the progress-free hop probability and J = ceil(d/(1-q)) caps how many
     such hops a phase may absorb.  Evaluated as the exact finite
-    geometric sum.
+    geometric sum; 1 - x >= k_s/d is never 0, and q = 0 gives 0.
     """
-    if q == 0.0:
-        return 0.0
     dead_all = q ** (k_n + k_s)
-    advance = k_s / d
-    wander = 1.0 - advance - dead_all
+    wander = 1.0 - k_s / d - dead_all
     cap = suboptimal_hop_cap(d, q)
-    if wander == 1.0:
-        series = float(cap + 1)
-    else:
-        series = (1.0 - wander ** (cap + 1)) / (1.0 - wander)
-    return dead_all * series
+    return dead_all * ((1.0 - wander ** (cap + 1)) / (1.0 - wander))
 
 
 def hazard_series(spec: GeometrySpec, q: float, m_max: int) -> np.ndarray:
@@ -241,25 +229,17 @@ def _success_prefixes(table: np.ndarray, horizons):
     short = max((h for h in horizons if h <= _DIRECT_PRODUCT_MAX_H), default=0)
     factors = 1.0 - table[:short]
     direct, tiny = np.cumprod(factors, axis=0), factors < _DIRECT_PRODUCT_MIN_FACTOR
-    logged = _log_domain_success(table) if max(horizons) > short or tiny.any() else direct
+    with np.errstate(under="ignore"):
+        logged = np.exp(_log_sums(table)) if max(horizons) > short or tiny.any() else direct
     for h in horizons:
         yield logged[:h] if h > short else np.where(tiny[:h].any(axis=0), logged[:h], direct[:h])
 
 
-def _log_domain_success(hazards: np.ndarray) -> np.ndarray:
-    """exp of _log_sums, whose last row repeats past their cut."""
-    sums, p = _log_sums(hazards), np.empty_like(hazards)
-    with np.errstate(under="ignore"):
-        np.exp(sums, out=p[: len(sums)])
-    p[len(sums) :] = p[len(sums) - 1]
-    return p
-
-
 def _log_sums(hazards: np.ndarray) -> np.ndarray:
-    """cumsum(log1p(-hazards)) down each column, cut after the first row
-    of a repeating tail whose term left every sum unchanged: each later
-    row would equal the last row kept.  A hazard of exactly 1 (q within
-    an ulp of 1) gives log1p(-1) = -inf and p = 0 from there on."""
+    """cumsum(log1p(-hazards)) down each column.  Past the first row of a
+    repeating tail whose term left every sum unchanged, each later row
+    is a copy of that last row kept.  A hazard of exactly 1 (q within an
+    ulp of 1) gives log1p(-1) = -inf and p = 0 from there on."""
     count = len(hazards)
     differs = (hazards != hazards[-1]).any(axis=1)
     tail = count - int(np.argmax(differs[::-1])) if differs.any() else 0  # rows from tail on equal the last
@@ -270,8 +250,9 @@ def _log_sums(hazards: np.ndarray) -> np.ndarray:
         np.cumsum(sums[head], axis=0, out=sums[head])
         if tail + 1 < count and (sums[tail] != (sums[tail - 1] if tail else 0.0)).any():
             np.cumsum(sums[tail:], axis=0, out=sums[tail:])  # the term still moves a sum
-            return sums
-    return sums[head]
+        else:
+            sums[tail + 1 :] = sums[tail]
+    return sums
 
 
 def success_series(spec: GeometrySpec, q: float, h_max: int) -> np.ndarray:
@@ -280,11 +261,7 @@ def success_series(spec: GeometrySpec, q: float, h_max: int) -> np.ndarray:
 
 
 def expected_reach(spec: GeometrySpec, q: float) -> float:
-    """E[S] = sum_h n(h) * p(h, q), the mean reachable-set size.
-
-    Returns the exact expectation for d <= 20 and the 2^d-normalized
-    value for larger d (matching the profile's normalization).
-    """
+    """E[S] = sum_h n(h) * p(h, q), the mean reachable-set size."""
     return _expected_reaches((spec,), (q,))[0][0]
 
 
@@ -299,7 +276,7 @@ def _expected_reaches(specs, qs) -> list[list[float]]:
         widest = max(members, key=lambda spec: spec.d)
         prefixes = _success_prefixes(hazard_table(widest, qs, widest.d), [spec.d for spec in members])
         for spec, p in zip(members, prefixes):
-            profile = np.array(distance_profile(spec).values, dtype=float)  # counts < 2^53: exact
+            profile = np.array(distance_profile(spec).values, dtype=float)  # each count rounded once
             reaches[spec] = [math.fsum(column.tolist()) for column in (p * profile[:, None]).T]
     return [reaches[spec] for spec in specs]
 
@@ -308,8 +285,8 @@ def _expected_reaches(specs, qs) -> list[list[float]]:
 class RoutabilityResult:
     """Routability r(N, q) with its inputs and normalization convention.
 
-    expected_reach is E[S], divided by 2^d when reach_normalized is set
-    (d > 20).  clamped records that the raw ratio fell outside [0, 1].
+    expected_reach is E[S].  clamped records that the raw ratio fell
+    outside [0, 1].
     """
 
     spec: GeometrySpec
@@ -319,7 +296,6 @@ class RoutabilityResult:
     expected_reach: float
     denominator_mode: DenominatorMode
     clamped: bool
-    reach_normalized: bool
 
 
 def routability(
@@ -330,8 +306,7 @@ def routability(
     """Routability r = E[S] / survivor-pair denominator, clamped to [0, 1].
 
     PN_MINUS_ONE divides by (1-q)*2^d - 1 and raises when that quantity
-    is not positive; EXACT_SURVIVORS divides by (2^d - 1)*(1-q).  For
-    d > 20 the ratio is formed from normalized quantities.
+    is not positive; EXACT_SURVIVORS divides by (2^d - 1)*(1-q).
     """
     ((result,),) = routability_sweep((spec,), (q,), mode)
     if isinstance(result, ValueError):
@@ -357,14 +332,13 @@ def routability_sweep(
             valid.append(q)
     sweeps = []
     for spec, reaches in zip(specs, map(iter, _expected_reaches(specs, valid))):
-        # N and one node, as counts or (d > 20) as fractions of 2^d.
-        n, one = (1.0, math.ldexp(1.0, -spec.d)) if spec.d > EXACT_PROFILE_MAX_D else (1 << spec.d, 1.0)
+        n = 1 << spec.d
         results: list = []
         for q in qs:
             try:
                 check_q(q)
                 reach = next(reaches)
-                den = (1.0 - q) * n - one if pn else (n - one) * (1.0 - q)
+                den = (1.0 - q) * n - 1.0 if pn else (n - 1.0) * (1.0 - q)
                 if den <= 0.0:  # only (1-q)*N - 1 can be
                     raise ValueError(f"degenerate denominator: (1-q)*2^d <= 1 at d={spec.d}, "
                                      f"q={q}; fewer than one expected survivor besides the root")
@@ -375,7 +349,7 @@ def routability_sweep(
             r = min(raw, 1.0)
             results.append(RoutabilityResult(
                 spec=spec, q=q, routability=r, failed_fraction=1.0 - r, expected_reach=reach,
-                denominator_mode=mode, clamped=raw > 1.0, reach_normalized=spec.d > EXACT_PROFILE_MAX_D))
+                denominator_mode=mode, clamped=raw > 1.0))
         sweeps.append(results)
     return sweeps
 
@@ -383,24 +357,15 @@ def routability_sweep(
 def tree_closed_form(d: int, q: float) -> float:
     """Tree routability ((2-q)^d - 1) / ((1-q)*2^d - 1), clamped to <= 1.
 
-    Binomial identity: sum_h C(d,h) (1-q)^h = (2-q)^d - 1.  Evaluated in
-    log space for d > 64 so that d = 100 stays finite.
+    Binomial identity: sum_h C(d,h) (1-q)^h = (2-q)^d - 1.  Both powers
+    are finite doubles for every d up to MAX_D = 1000.
     """
     if d < 1:
         raise ValueError(f"identifier length d must be >= 1, got {d}")
+    if d > MAX_D:
+        raise ValueError(f"identifier length d must be <= {MAX_D}, got {d}")
     check_q(q)
-    if d <= _DIRECT_PRODUCT_MAX_H:
-        denominator = (1.0 - q) * (1 << d) - 1.0
-        if denominator <= 0.0:
-            raise ValueError(
-                f"degenerate denominator: (1-q)*2^d <= 1 at d={d}, q={q}"
-            )
-        r = ((2.0 - q) ** d - 1.0) / denominator
-    else:
-        # Positive: d >= 65 and q <= 1 - 2^-53 give log_pn >= 12 ln 2.
-        log_pn = d * math.log(2.0) + math.log1p(-q)
-        log_num_pow = d * math.log(2.0 - q)
-        log_numerator = log_num_pow + math.log1p(-math.exp(-log_num_pow))
-        log_denominator = log_pn + math.log1p(-math.exp(-log_pn))
-        r = math.exp(log_numerator - log_denominator)
-    return min(r, 1.0)
+    denominator = (1.0 - q) * (1 << d) - 1.0
+    if denominator <= 0.0:
+        raise ValueError(f"degenerate denominator: (1-q)*2^d <= 1 at d={d}, q={q}")
+    return min(((2.0 - q) ** d - 1.0) / denominator, 1.0)

@@ -16,9 +16,9 @@ phases) from any root node:
   tree / hypercube / xor : n(h) = C(d, h)      (Hamming distance h)
   ring / symphony        : n(h) = 2^(h-1)      (clockwise phase h)
 
-Both families satisfy sum_h n(h) = 2^d - 1.  For d <= 20 counts are kept
-as exact integers; for larger d the profile stores the normalized weights
-n(h) / 2^d so downstream sums stay in floating range up to d = 100.
+Both families satisfy sum_h n(h) = 2^d - 1.  Counts are exact integers
+at every d; even at d = MAX_D each is below 2^1000 ~ 1.1e301, a finite
+double.
 """
 
 from __future__ import annotations
@@ -27,9 +27,6 @@ import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
-
-# Largest d for which distance counts are kept as exact integers.
-EXACT_PROFILE_MAX_D = 20
 
 # Largest d accepted: big-integer math.comb profiles cost O(d^2) per call.
 MAX_D = 1000
@@ -97,37 +94,23 @@ def check_q(q: float) -> None:
 
 @dataclass(frozen=True)
 class DistanceProfile:
-    """Node counts per routing distance h = 1..d from a root node.
-
-    ``values[h-1]`` is n(h) exactly (ints) when ``normalized`` is False,
-    or the weight n(h)/2^d (floats) when True.
-    """
+    """Node counts per routing distance h = 1..d from a root node:
+    ``values[h-1]`` is n(h), an exact int."""
 
     d: int
     values: tuple
-    normalized: bool
 
 
 @functools.lru_cache(maxsize=256)
 def distance_profile(spec: GeometrySpec) -> DistanceProfile:
-    """Distance distribution n(h) for the given geometry.
+    """Distance distribution n(h) for the given geometry, in exact counts.
 
-    Exact integer counts for d <= 20; normalized weights n(h)/2^d above
-    that so that d up to 100 stays representable.  Memoised: both
-    argument and result are frozen, and sweeps ask for the same few
-    profiles at every q.
+    Memoised: both argument and result are frozen, and sweeps ask for the
+    same few profiles at every q.
     """
     d = spec.d
-    normalized = d > EXACT_PROFILE_MAX_D
     if spec.kind in BINOMIAL_GEOMETRIES:
-        if normalized:
-            n = 1 << d
-            values = tuple(math.comb(d, h) / n for h in range(1, d + 1))
-        else:
-            values = tuple(math.comb(d, h) for h in range(1, d + 1))
+        values = tuple(math.comb(d, h) for h in range(1, d + 1))
     else:
-        if normalized:
-            values = tuple(math.ldexp(1.0, h - 1 - d) for h in range(1, d + 1))
-        else:
-            values = tuple(1 << (h - 1) for h in range(1, d + 1))
-    return DistanceProfile(d=d, values=values, normalized=normalized)
+        values = tuple(1 << (h - 1) for h in range(1, d + 1))
+    return DistanceProfile(d=d, values=values)

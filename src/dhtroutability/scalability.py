@@ -78,11 +78,10 @@ def classify(spec: GeometrySpec, q: float) -> ScalabilityVerdict:
         )
     hazards = hazard_series(spec, q, EVIDENCE_HORIZONS[-1])
     sums = np.cumsum(hazards)
-    # p at the horizons only, as cumulative_success's log-domain product:
-    # past the log sums' cut, their last row.
+    # p at the horizons only, as cumulative_success's log-domain product.
     logs = _log_sums(hazards[:, None])[:, 0]
     with np.errstate(under="ignore"):
-        products = np.exp(logs[[min(h, len(logs)) - 1 for h in EVIDENCE_HORIZONS]]).tolist()
+        products = np.exp(logs[[h - 1 for h in EVIDENCE_HORIZONS]]).tolist()
     partial_sums = tuple((m, float(sums[m - 1])) for m in EVIDENCE_HORIZONS)
     partial_products = tuple(zip(EVIDENCE_HORIZONS, products))
 

@@ -24,7 +24,7 @@ from dhtroutability.analytic import (
     tree_closed_form,
 )
 from dhtroutability.cli import main
-from dhtroutability.geometry import ALL_GEOMETRIES, Geometry, GeometrySpec
+from dhtroutability.geometry import ALL_GEOMETRIES, Geometry, GeometrySpec, distance_profile
 from dhtroutability.scalability import EVIDENCE_HORIZONS, classify
 
 Q_GRID = (0.0, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9)
@@ -135,6 +135,32 @@ def test_symphony_phase_failure_matches_direct_sum():
             cap = suboptimal_hop_cap(d, q)
             direct = sum(dead * x**j for j in range(cap + 1))
             assert symphony_phase_failure(q, d, 1, 1) == pytest.approx(direct, rel=1e-12)
+
+
+def _reference_symphony_phase_failure(q, d, k_n, k_s):
+    """The per-phase failure with explicit q = 0 and x = 1 branches."""
+    if q == 0.0:
+        return 0.0
+    dead_all = q ** (k_n + k_s)
+    wander = 1.0 - k_s / d - dead_all
+    cap = suboptimal_hop_cap(d, q)
+    if wander == 1.0:
+        return dead_all * float(cap + 1)
+    return dead_all * ((1.0 - wander ** (cap + 1)) / (1.0 - wander))
+
+
+def test_symphony_phase_failure_bitwise_equals_branching_reference():
+    # q = 0 gives dead_all = 0 and a finite series, so 0; x = 1 - k_s/d - q^k
+    # is at most 1 - 1/MAX_D, so no branch is needed for 1 - x = 0.
+    rng = random.Random(20061)
+    qs = (0.0, 5e-324, 1e-310, 1e-5, 0.05, 0.5, 0.95, 1.0 - 2.0**-53,
+          *(rng.random() for _ in range(40)))
+    for q in qs:
+        for d in (1, 2, 3, 10, 100, 1000):
+            for k_n, k_s in itertools.product((1, 3), sorted({1, min(2, d), d})):
+                got = symphony_phase_failure(q, d, k_n, k_s)
+                want = _reference_symphony_phase_failure(q, d, k_n, k_s)
+                assert _bits([got]) == _bits([want]), (q, d, k_n, k_s)
 
 
 def test_suboptimal_hop_cap_exact_ceiling():
@@ -320,12 +346,62 @@ def test_degenerate_denominator_raises():
     assert 0.0 <= res.routability <= 1.0
 
 
-def test_large_d_normalized_pipeline():
-    for kind in ALL_GEOMETRIES:
-        res = routability(GeometrySpec(kind, 100), 0.1)
-        assert res.reach_normalized
-        assert 0.0 <= res.routability <= 1.0
-        assert math.isfinite(res.expected_reach)
+def test_large_d_absolute_pipeline():
+    # E[S] is in node counts at every d: up to d = 1000, 2^d is a finite double.
+    for d in (100, 1000):
+        for kind in ALL_GEOMETRIES:
+            res = routability(GeometrySpec(kind, d), 0.1)
+            assert 0.0 <= res.routability <= 1.0
+            assert 0.0 < res.expected_reach <= 2.0**d - 1.0
+        tree = expected_reach(GeometrySpec(Geometry.TREE, d), 0.1)
+        assert tree == pytest.approx(1.9**d - 1.0, rel=1e-12)
+
+
+def test_tree_routability_next_to_q_one_at_d_1000_matches_fraction():
+    # At q = 1 - 2^-53 the scaled terms n(h)/2^d * p(h) of the old d > 20
+    # convention went subnormal; in counts they stay normal.
+    q, d = 1.0 - 2.0**-53, 1000
+    exact_q = Fraction(q)
+    exact_reach = (2 - exact_q) ** d - 1
+    dens = {
+        DenominatorMode.PN_MINUS_ONE: (1 - exact_q) * 2**d - 1,
+        DenominatorMode.EXACT_SURVIVORS: (2**d - 1) * (1 - exact_q),
+    }
+    for mode, den in dens.items():
+        exact = exact_reach / den
+        got = routability(GeometrySpec(Geometry.TREE, d), q, mode).routability
+        assert abs(Fraction(got) - exact) / exact < Fraction(1, 10**14), mode
+
+
+# The convention the analytic layer used for d > 20 before it kept absolute
+# counts at every d: weights n(h)/2^d, N = 1 and one node = 2^-d.  Each
+# weight is its count times 2^-d exactly, and x, fsum and / round alike at
+# every power-of-two scale while no term is subnormal.
+NORMALIZED_DS = (21, 64, 65, 100, 500, 1000)
+NORMALIZED_QS = tuple(round(i * 0.05, 10) for i in range(20))  # the CLI's 0..0.95 grid
+
+
+def _normalized_routability(spec, weights, q, mode):
+    """(routability, clamped, E[S]/2^d) in the normalized convention."""
+    reach = math.fsum((success_series(spec, q, spec.d) * weights).tolist())
+    one = math.ldexp(1.0, -spec.d)
+    pn = mode is DenominatorMode.PN_MINUS_ONE
+    raw = reach / ((1.0 - q) * 1.0 - one if pn else (1.0 - one) * (1.0 - q))
+    return min(raw, 1.0), raw > 1.0, reach
+
+
+@pytest.mark.parametrize("mode", list(DenominatorMode))
+@pytest.mark.parametrize("kind", ALL_GEOMETRIES)
+def test_routability_equals_normalized_convention_bit_for_bit(kind, mode):
+    for d in NORMALIZED_DS:
+        spec = GeometrySpec(kind, d, k_n=3, k_s=2)
+        weights = np.array([v / (1 << d) for v in distance_profile(spec).values])
+        for q in NORMALIZED_QS:
+            got = routability(spec, q, mode)
+            r, clamped, reach = _normalized_routability(spec, weights, q, mode)
+            assert _bits([got.routability]) == _bits([r]), (d, q)
+            assert got.clamped == clamped, (d, q)
+            assert got.expected_reach == pytest.approx(math.ldexp(reach, d), rel=1e-12), (d, q)
 
 
 # --- tree closed form ---------------------------------------------------------
@@ -346,8 +422,28 @@ def test_tree_closed_form_rejects_d_below_one():
         tree_closed_form(0, 0.1)
 
 
-def test_tree_closed_form_large_d_log_space():
+def test_tree_closed_form_rejects_d_above_max_d():
+    # As GeometrySpec does, and before float(1 << d) overflows from d = 1024.
+    for d in (1001, 1024, 10**6):
+        with pytest.raises(ValueError, match=f"d must be <= 1000, got {d}$"):
+            tree_closed_form(d, 0.1)
+
+
+def test_tree_closed_form_large_d():
     assert tree_closed_form(100, 0.15) < 0.01
+    # One direct formula at every d: (2-q)^d and (1-q)*2^d stay finite to
+    # d = 1000.  Both sides inherit the d-fold rounding of 2 - q.
+    for d in (65, 100, 500, 1000):
+        for q in (0.0, 0.05, 0.3, 0.5, 0.95):
+            exact_q = Fraction(q)
+            exact = ((2 - exact_q) ** d - 1) / ((1 - exact_q) * 2**d - 1)
+            assert tree_closed_form(d, q) == pytest.approx(float(exact), rel=1e-11), (d, q)
+
+
+def test_tree_closed_form_next_to_q_one_at_large_d():
+    # 2 - q rounds to 1, which sent the old d > 64 log form to log1p(-1).
+    for d in (65, 100, 1000):
+        assert 0.0 <= tree_closed_form(d, 1.0 - 2.0**-53) <= 1.0
 
 
 @settings(max_examples=80, deadline=None)
@@ -749,6 +845,24 @@ def test_classify_long_horizon_matches_full_length_reference(kind):
         subnormal_tails += bool(0.0 < hazards[-1] < np.finfo(float).tiny)
     assert underflows > 0
     assert subnormal_tails > 0 or kind is not Geometry.XOR
+
+
+def test_log_sums_fill_the_full_column():
+    # Past the cut each row is a copy of the last kept one, which is what
+    # summing the repeating term to the end gives, bit for bit.
+    # One column at a time, as classify runs it, cuts where a many-q table
+    # would not; the whole table cuts only where all its columns do.
+    qs = (5e-324, 1e-5, 0.3, 0.5, 0.505, 0.9, 0.95, 1.0 - 2.0**-53)
+    cuts = 0
+    for kind in ALL_GEOMETRIES:
+        table = hazard_table(GeometrySpec(kind, 16), qs, EVIDENCE_HORIZONS[-1])
+        for hazards in (table, *(table[:, [j]] for j in range(len(qs)))):
+            with np.errstate(divide="ignore"):
+                terms = np.where(hazards >= 2.0**-54, np.log1p(-hazards), -hazards)
+                sums = analytic._log_sums(hazards)
+            assert sums.tobytes() == np.cumsum(terms, axis=0).tobytes(), kind
+            cuts += bool((sums[-2] == sums[-1]).all())
+    assert cuts > 0
 
 
 # --- one hazard table per geometry for a d list -------------------------------

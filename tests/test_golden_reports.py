@@ -99,6 +99,13 @@ GOLDEN = [
         "3986b67a97f67df2a14959cb65ea466817cf9f39d13db6b0ae0b573b50776aa1",
     ),
     (
+        # Counts n(h) up to 2^1000 ~ 1.1e301, a finite double: d past 20, 64
+        # and 100 on the exact denominator.
+        "asymptotic-d21-1000-exact",
+        "asymptotic --geometry all --d 21,64,65,200,500,1000 --q-start 0 --q-stop 0.95 --q-step 0.05 --denominator exact --kn 3 --ks 2",
+        "c3aa0f15edf6f6331bce81a41e69729c74cd9fe57ff1ecf9e4012e6b382b86c1",
+    ),
+    (
         # d = 1 (k_s = 1, since symphony needs k_s <= d): error rows from
         # q = 0.5 in every geometry.
         "asymptotic-d1-kn3",
