@@ -25,20 +25,21 @@ The expected reachable-set size from an alive root is
 and routability divides E[S] by one of two survivor-count conventions
 (see DenominatorMode).  Every sum runs on the absolute counts n(h): at
 d = 1000, the largest d accepted, N = 2^1000 ~ 1.1e301 is still a finite
-double.  Products switch to the log domain past 64 phases or at a factor
-below 1e-12 (see cumulative_success).
+double.  Every p(h, q) is a direct running product of at most d factors
+(see cumulative_success); only the classifier's 10,000-phase series sums
+logs (see scalability).
 
 hazard_table is the one definition of Q(m), a phases x q table whose
 column j is the scalar recurrence run at qs[j], bit for bit, and
-cumulative_success the one place the product is formed.  hazard_series
-is one column, and routability and expected_reach are one point of
-routability_sweep.  A d list shares one table per geometry but symphony,
-whose Q holds d, and each d reads its first d rows: every step is causal.
+cumulative_success the one place the direct product is formed.
+hazard_series is one column, and routability and expected_reach are one
+point of routability_sweep.  A d list shares one table and one product
+per geometry but symphony, whose Q holds d, and each d reads its first d
+rows: every step is causal.
 Only the loop's own roundings are re-run: np.cumsum and np.cumprod
 accumulate left to right, and elementwise +, * and / round like Python
 floats; np.sum, closed forms such as xor's P(m) * sum 1/P(k) - 1, and
-np.power for a scalar ** or math.exp would round differently.  exp and
-log1p act per element, so a range they skip changes no other bit.  The
+np.power for a scalar ** or math.exp would round differently.  The
 closed-form approximations of the xor and symphony hazards live in the
 tests that compare them with these sums.
 
@@ -47,10 +48,7 @@ values turn exactly constant, never at a bound: q^m at a fixed point of
 x -> x * q (0 for q <= 0.5; for q > 0.5 the subnormal 5e-324, or a small
 multiple of it near q = 1, which rounds back to itself); ring's tail
 w^(2^(m-1)) once q^(2^(m-1)) is 0, past which w <= q leaves 1 - tail at
-1; and a log sum once a hazard that repeats to the end leaves it
-unchanged.  A repeating tail (all of tree's and symphony's) takes log1p
-once, and the classifier takes exp only at its horizons.  Below 2^-54
-the log sum takes log1p(-h) as -h, its correctly rounded value.
+1.
 """
 
 from __future__ import annotations
@@ -64,12 +62,6 @@ from enum import Enum
 import numpy as np
 
 from .geometry import MAX_D, Geometry, GeometrySpec, check_q, distance_profile
-
-# Products switch to log-domain accumulation past this horizon or when
-# any surviving factor drops below this threshold.
-_DIRECT_PRODUCT_MAX_H = 64
-_DIRECT_PRODUCT_MIN_FACTOR = 1e-12
-
 
 class DenominatorMode(str, Enum):
     """Survivor-pair normalization used by routability.
@@ -212,47 +204,16 @@ def _powers(q: np.ndarray, count: int) -> tuple[np.ndarray, int]:
 def cumulative_success(hazards: np.ndarray) -> np.ndarray:
     """p(1..m): cumulative products of (1 - Q(m)) down each column.
 
-    hazards is one series or a phases x q table.  A column multiplies its
-    factors directly up to 64 phases while every factor is at least 1e-12,
-    and otherwise takes exp of a log1p(-Q) sum, which stops where p turns
-    exactly constant: at the first row of a repeating tail (zeros, or
-    ring's subnormal) whose term left every sum unchanged.
+    hazards is one series or a phases x q table.  Each p(h) takes h
+    roundings of 1 - Q and h - 1 of the multiply, so it is good to about
+    2h units of roundoff, as long as the running product never stalls: a
+    subnormal product times a factor above 1/2 can round back to itself
+    while the true product keeps falling.  No product meets such a factor
+    at any d <= MAX_D and q <= 0.95; the classifier's 10,000-phase series
+    can, so it sums logs instead (see scalability).
     """
-    table = hazards.reshape(len(hazards), -1)
-    return next(_success_prefixes(table, (len(table),))).reshape(hazards.shape)
-
-
-def _success_prefixes(table: np.ndarray, horizons):
-    """cumulative_success(table[:h]) for each h of horizons, in order: a
-    prefix of one direct and, if a horizon's column takes it, one
-    log-domain product of the table, as both are causal."""
-    short = max((h for h in horizons if h <= _DIRECT_PRODUCT_MAX_H), default=0)
-    factors = 1.0 - table[:short]
-    direct, tiny = np.cumprod(factors, axis=0), factors < _DIRECT_PRODUCT_MIN_FACTOR
     with np.errstate(under="ignore"):
-        logged = np.exp(_log_sums(table)) if max(horizons) > short or tiny.any() else direct
-    for h in horizons:
-        yield logged[:h] if h > short else np.where(tiny[:h].any(axis=0), logged[:h], direct[:h])
-
-
-def _log_sums(hazards: np.ndarray) -> np.ndarray:
-    """cumsum(log1p(-hazards)) down each column.  Past the first row of a
-    repeating tail whose term left every sum unchanged, each later row
-    is a copy of that last row kept.  A hazard of exactly 1 (q within an
-    ulp of 1) gives log1p(-1) = -inf and p = 0 from there on."""
-    count = len(hazards)
-    differs = (hazards != hazards[-1]).any(axis=1)
-    tail = count - int(np.argmax(differs[::-1])) if differs.any() else 0  # rows from tail on equal the last
-    sums, head = np.negative(hazards), slice(0, tail + 1)
-    with np.errstate(under="ignore", divide="ignore"):
-        np.log1p(sums[head], out=sums[head], where=hazards[head] >= 2.0**-54)  # else -h: log1p(-h) rounded
-        sums[tail + 1 :] = sums[tail]  # the tail's one term, taken once
-        np.cumsum(sums[head], axis=0, out=sums[head])
-        if tail + 1 < count and (sums[tail] != (sums[tail - 1] if tail else 0.0)).any():
-            np.cumsum(sums[tail:], axis=0, out=sums[tail:])  # the term still moves a sum
-        else:
-            sums[tail + 1 :] = sums[tail]
-    return sums
+        return np.cumprod(1.0 - hazards, axis=0)
 
 
 def success_series(spec: GeometrySpec, q: float, h_max: int) -> np.ndarray:
@@ -267,17 +228,18 @@ def expected_reach(spec: GeometrySpec, q: float) -> float:
 
 def _expected_reaches(specs, qs) -> list[list[float]]:
     """E[S] for each spec at every q of qs, one math.fsum per column, from
-    one hazard table per geometry, or per symphony spec, at its largest d."""
+    one product table per geometry, or per symphony spec, at its largest
+    d, sliced at each spec's d."""
     groups: dict = {}
     for spec in specs:  # each group a dict, to hold a repeated spec once
         groups.setdefault(spec if spec.kind is Geometry.SYMPHONY else spec.kind, {})[spec] = None
     reaches = {}
     for members in groups.values():
         widest = max(members, key=lambda spec: spec.d)
-        prefixes = _success_prefixes(hazard_table(widest, qs, widest.d), [spec.d for spec in members])
-        for spec, p in zip(members, prefixes):
+        p = cumulative_success(hazard_table(widest, qs, widest.d))
+        for spec in members:
             profile = np.array(distance_profile(spec).values, dtype=float)  # each count rounded once
-            reaches[spec] = [math.fsum(column.tolist()) for column in (p * profile[:, None]).T]
+            reaches[spec] = [math.fsum(column.tolist()) for column in (p[: spec.d] * profile[:, None]).T]
     return [reaches[spec] for spec in specs]
 
 

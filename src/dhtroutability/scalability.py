@@ -17,6 +17,15 @@ Classification is structural (the table above), never a numerical
 convergence heuristic; partial sums of Q and partial products p(h, q) at
 decade horizons are attached as evidence only.  Symphony's Q contains
 k_s/d, so the probe holds the configured d fixed while h grows.
+
+The partial products are exp of a log1p(-Q) sum, the one place outside
+analytic's direct products where p is formed: over 10,000 phases a
+direct product can stall at a subnormal value (tree at q = 0.075 would
+end at 2.96e-323 instead of 0).  The sum stops once a hazard that
+repeats to the end leaves it unchanged, so a repeating tail (all of
+tree's and symphony's) takes log1p once, and exp is taken only at the
+horizons.  Below 2^-54 the sum takes log1p(-h) as -h, its correctly
+rounded value.
 """
 
 from __future__ import annotations
@@ -27,7 +36,7 @@ from enum import Enum
 
 import numpy as np
 
-from .analytic import _log_sums, hazard_series
+from .analytic import hazard_series
 from .geometry import Geometry, GeometrySpec
 
 #: Decade horizons at which evidence is sampled.
@@ -78,8 +87,7 @@ def classify(spec: GeometrySpec, q: float) -> ScalabilityVerdict:
         )
     hazards = hazard_series(spec, q, EVIDENCE_HORIZONS[-1])
     sums = np.cumsum(hazards)
-    # p at the horizons only, as cumulative_success's log-domain product.
-    logs = _log_sums(hazards[:, None])[:, 0]
+    logs = _log_sums(hazards)
     with np.errstate(under="ignore"):
         products = np.exp(logs[[h - 1 for h in EVIDENCE_HORIZONS]]).tolist()
     partial_sums = tuple((m, float(sums[m - 1])) for m in EVIDENCE_HORIZONS)
@@ -96,3 +104,23 @@ def classify(spec: GeometrySpec, q: float) -> ScalabilityVerdict:
         verdict, limit_estimate, decay_horizon = Verdict.UNSCALABLE, 0.0, math.ceil(decay)
     return ScalabilityVerdict(spec, q, verdict, limit_estimate, partial_sums, partial_products,
                               decay_horizon)
+
+
+def _log_sums(hazards: np.ndarray) -> np.ndarray:
+    """cumsum(log1p(-hazards)) of one series.  Past the first row of a
+    repeating tail whose term left the sum unchanged, each later row is
+    a copy of that last row kept.  A hazard of exactly 1 (q within an
+    ulp of 1) gives log1p(-1) = -inf and p = 0 from there on."""
+    count = len(hazards)
+    differs = hazards != hazards[-1]
+    tail = count - int(np.argmax(differs[::-1])) if differs.any() else 0  # rows from tail on equal the last
+    sums, head = np.negative(hazards), slice(0, tail + 1)
+    with np.errstate(under="ignore", divide="ignore"):
+        np.log1p(sums[head], out=sums[head], where=hazards[head] >= 2.0**-54)  # else -h: log1p(-h) rounded
+        sums[tail + 1 :] = sums[tail]  # the tail's one term, taken once
+        np.cumsum(sums[head], out=sums[head])
+        if tail + 1 < count and sums[tail] != (sums[tail - 1] if tail else 0.0):
+            np.cumsum(sums[tail:], out=sums[tail:])  # the term still moves the sum
+        else:
+            sums[tail + 1 :] = sums[tail]
+    return sums

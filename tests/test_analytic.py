@@ -1,7 +1,9 @@
+import decimal
 import itertools
 import math
 import random
 import warnings
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dhtroutability import analytic
+from dhtroutability import analytic, scalability
 from dhtroutability.analytic import (
     DenominatorMode,
     cumulative_success,
@@ -24,7 +26,13 @@ from dhtroutability.analytic import (
     tree_closed_form,
 )
 from dhtroutability.cli import main
-from dhtroutability.geometry import ALL_GEOMETRIES, Geometry, GeometrySpec, distance_profile
+from dhtroutability.geometry import (
+    ALL_GEOMETRIES,
+    MAX_D,
+    Geometry,
+    GeometrySpec,
+    distance_profile,
+)
 from dhtroutability.scalability import EVIDENCE_HORIZONS, classify
 
 Q_GRID = (0.0, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9)
@@ -209,14 +217,13 @@ def test_hazards_are_probabilities(kind, d, q):
 def test_one_hop_success_within_target_survival(kind):
     # p(1, q) <= 1 - q: a one-hop route needs its target alive.  Symphony
     # is left out because its constant hazard breaks this (see README).
-    for d in (1, 2, 4, 8, 12, 16, 20, 40, 100):
+    # Q(1) = q for these four, and the direct product's first row is its
+    # first factor, so p(1, q) is exactly 1 - q at every horizon.
+    for d in (1, 2, 4, 8, 12, 16, 20, 40, 65, 100, 1000):
         spec = GeometrySpec(kind, d)
         for q in [round(0.05 * i, 2) for i in range(20)]:
             assert success_series(spec, q, 1)[0] <= 1.0 - q, (d, q)
-            # Past 64 phases the series accumulates in the log domain,
-            # where exp(log1p(-q)) may round one ulp above 1 - q.
-            p1 = success_series(spec, q, d)[0]
-            assert p1 <= 1.0 - q + math.ulp(1.0 - q), (d, q, p1)
+            assert success_series(spec, q, d)[0] == 1.0 - q, (d, q)
 
 
 def test_ring_hazard_below_xor_hazard():
@@ -505,10 +512,11 @@ def test_hypercube_oracle_small_instance():
 # own power q^(2^(m-1)) is 0 and repeats ring's Q from row fixed + 2 of
 # _powers, multiplies q^m in doubling chunks that stop at a fixed point of
 # x -> x * q, and cuts hypercube's powers where they underflow;
-# cumulative_success stops its log-domain sum where a repeating tail
-# leaves it unchanged.  The references below are the plain scalar loops,
-# the full-length power and the full log-domain product; the fast paths
-# must match them bit for bit.
+# scalability._log_sums stops its sum where a repeating tail leaves it
+# unchanged.  The references below are the plain scalar loops, the
+# full-length power, the scalar product p *= 1 - Q that
+# cumulative_success's direct product must equal, and the full log1p sum;
+# the fast paths must match them bit for bit.
 #
 # Points run: every q of EXACT_Q (0, the smallest subnormal, 1e-300, 1e-5,
 # the 0.005 grid to 0.995, 0.999, 1 - 2^-20, 1 - 2^-53 and 20 seeded random
@@ -591,12 +599,16 @@ def _reference_hypercube(q, m_max):
 
 
 def _reference_cumulative_success(hazards):
-    if len(hazards) <= 64:
-        factors = 1.0 - hazards
-        if factors.min() >= 1e-12:
-            return np.cumprod(factors)
-    with np.errstate(under="ignore"):
-        return np.exp(np.cumsum(np.log1p(-hazards)))
+    out, p = [], 1.0
+    for hazard in hazards.tolist():
+        p *= 1.0 - hazard
+        out.append(p)
+    return np.array(out)
+
+
+def _reference_log_sums(hazards):
+    with np.errstate(divide="ignore"):  # a hazard of 1 near q = 1
+        return np.cumsum(np.log1p(-hazards))
 
 
 def _handover_m(kind, q):
@@ -644,16 +656,13 @@ def test_hazard_series_bitwise_equals_scalar_reference(kind):
     for q in EXACT_Q:
         longest = EXACT_HORIZON_MAX if q in EXACT_Q_LONG else EXACT_HORIZONS[-1]
         full = reference_of(q, longest)
+        products = _reference_cumulative_success(full)
         horizons = {*EXACT_HORIZONS, longest, *_boundary_horizons(kind, q, full)}
         for m_max in sorted(m for m in horizons if 1 <= m <= longest):
             want = _reference_hypercube(q, m_max) if kind is Geometry.HYPERCUBE else full[:m_max]
             got = hazard_series(spec, q, m_max)
             assert got.tobytes() == want.tobytes(), (q, m_max)
-            with np.errstate(divide="ignore"):  # a hazard of 1 near q = 1
-                assert (
-                    cumulative_success(got).tobytes()
-                    == _reference_cumulative_success(want).tobytes()
-                ), (q, m_max)
+            assert cumulative_success(got).tobytes() == products[:m_max].tobytes(), (q, m_max)
 
 
 def test_ring_table_equals_reference_at_dense_q():
@@ -673,7 +682,8 @@ def test_ring_table_equals_reference_at_dense_q():
 
 def test_cumulative_success_bitwise_equals_reference_with_trailing_zeros():
     # Synthetic hazards whose last nonzero entry sits anywhere, so that a
-    # sum stopped one entry early or late shows in the bits.
+    # log sum stopped one entry early or late shows in the bits; the direct
+    # product runs over the same series.
     rng = np.random.default_rng(20061)
     for length in (1, 2, 3, 64, 65, 100, 1000):
         for last in sorted({-1, 0, 1, length // 2, length - 2, length - 1}):
@@ -684,19 +694,25 @@ def test_cumulative_success_bitwise_equals_reference_with_trailing_zeros():
             hazards[last + 1 :] = 0.0
             if last >= 0:
                 hazards[last] = rng.uniform(0.05, 0.9)
+            want = _reference_log_sums(hazards)
+            assert scalability._log_sums(hazards).tobytes() == want.tobytes(), (length, last)
             want = _reference_cumulative_success(hazards)
             assert cumulative_success(hazards).tobytes() == want.tobytes(), (length, last)
 
 
 def test_cumulative_success_bitwise_equals_reference_with_repeating_tail():
     # A varying head, then one hazard repeated to the end: a normal one
-    # keeps moving the log sum, a subnormal one stops it at once.
+    # keeps moving the log sum, a subnormal one stops it at once.  The
+    # direct product runs over the same series.
     rng = np.random.default_rng(20062)
     for length in (65, 100, 1000, 10_000):
         for head in (1, 2, 3, 64, length // 2, length - 1):
             for repeated in (0.3, 1e-17, 5e-324, 0.0):
                 hazards = rng.uniform(0.05, 0.9, length)
                 hazards[head:] = repeated
+                want = _reference_log_sums(hazards)
+                got = scalability._log_sums(hazards)
+                assert got.tobytes() == want.tobytes(), (length, head, repeated)
                 want = _reference_cumulative_success(hazards)
                 got = cumulative_success(hazards)
                 assert got.tobytes() == want.tobytes(), (length, head, repeated)
@@ -708,9 +724,11 @@ def test_cumulative_success_hazard_of_one_on_a_probed_row():
     for row in (63, 64, 65, 128, 192, 999):
         hazards = np.zeros(1000)
         hazards[row] = 1.0
-        with np.errstate(divide="ignore"):
-            want = _reference_cumulative_success(hazards)
-            assert cumulative_success(hazards).tobytes() == want.tobytes(), row
+        want = _reference_cumulative_success(hazards)
+        assert cumulative_success(hazards).tobytes() == want.tobytes(), row
+        assert want[row:].tolist() == [0.0] * (1000 - row), row
+        sums = scalability._log_sums(hazards)
+        assert sums.tobytes() == _reference_log_sums(hazards).tobytes(), row
 
 
 def test_hazard_of_one_warns_nothing():
@@ -756,8 +774,7 @@ def test_hazard_table_columns_bitwise_equal_single_q_and_reference(kind):
         spec = GeometrySpec(kind, d)
         for m_max in (d, 300):
             table = hazard_table(spec, TABLE_QS, m_max)
-            with np.errstate(divide="ignore"):
-                p = cumulative_success(table)
+            p = cumulative_success(table)
             assert table.shape == p.shape == (m_max, len(TABLE_QS))
             for j, q in enumerate(TABLE_QS):
                 want = _reference_hazards(spec, q, m_max)
@@ -814,7 +831,7 @@ def _bits(values):
 def test_classify_long_horizon_matches_full_length_reference(kind):
     # q = 0.3 and 0.5 drive q^m to exactly 0; from 0.505 on it sticks at a
     # subnormal fixed point instead, and at 0.95 it never gets there.  The
-    # stopped series must give the full-length reference's evidence bits.
+    # stopped series must give the full-length log1p sum's evidence bits.
     # classify takes exp at the horizons alone, past the log sums' cut too:
     # tree's and symphony's constant columns, p that underflows to 0 well
     # before 10,000 phases, xor's subnormal tail and, at 1 - 2^-53,
@@ -825,8 +842,8 @@ def test_classify_long_horizon_matches_full_length_reference(kind):
     for q in (*(q for q in TABLE_QS if q > 0.0), 1.0 - 2.0**-53):
         hazards = _reference_hazards(spec, q, horizon)
         sums = np.cumsum(hazards)
-        with np.errstate(divide="ignore"):
-            products = _reference_cumulative_success(hazards)
+        with np.errstate(under="ignore"):
+            products = np.exp(_reference_log_sums(hazards))
         if q == 5e-324 and kind in (Geometry.TREE, Geometry.SYMPHONY):
             with pytest.raises(ValueError, match="decay horizon is not finite"):
                 classify(spec, q)  # (1 - Q)^h does not fall below 1e-6 in floats
@@ -850,30 +867,26 @@ def test_classify_long_horizon_matches_full_length_reference(kind):
 def test_log_sums_fill_the_full_column():
     # Past the cut each row is a copy of the last kept one, which is what
     # summing the repeating term to the end gives, bit for bit.
-    # One column at a time, as classify runs it, cuts where a many-q table
-    # would not; the whole table cuts only where all its columns do.
     qs = (5e-324, 1e-5, 0.3, 0.5, 0.505, 0.9, 0.95, 1.0 - 2.0**-53)
     cuts = 0
     for kind in ALL_GEOMETRIES:
         table = hazard_table(GeometrySpec(kind, 16), qs, EVIDENCE_HORIZONS[-1])
-        for hazards in (table, *(table[:, [j]] for j in range(len(qs)))):
+        for hazards in table.T:
             with np.errstate(divide="ignore"):
                 terms = np.where(hazards >= 2.0**-54, np.log1p(-hazards), -hazards)
-                sums = analytic._log_sums(hazards)
-            assert sums.tobytes() == np.cumsum(terms, axis=0).tobytes(), kind
-            cuts += bool((sums[-2] == sums[-1]).all())
+                sums = scalability._log_sums(hazards)
+            assert sums.tobytes() == np.cumsum(terms).tobytes(), kind
+            cuts += bool(sums[-2] == sums[-1])
     assert cuts > 0
 
 
 # --- one hazard table per geometry for a d list -------------------------------
 #
-# routability_sweep builds one table per N-free geometry, and per symphony
-# spec, at the largest d, and each d reads its first d rows through the
-# product cumulative_success would pick for them.  The d list straddles
-# the 64-phase direct product, comes out of order and repeats; the q hit
-# degenerate denominators (d = 1 from q = 0.5, d = 2 from 0.75) and,
-# within 1e-12 of 1, send every column down the log-domain product even
-# at d <= 64.  One more list mixes every geometry in one call.
+# routability_sweep builds one table and one product per N-free geometry,
+# and per symphony spec, at the largest d, and each d reads their first d
+# rows.  The d list crosses 64, comes out of order and repeats; the q hit
+# degenerate denominators (d = 1 from q = 0.5, d = 2 from 0.75) and
+# come within 1e-12 of 1.  One more list mixes every geometry in one call.
 
 SHARED_DS = (100, 10, 65, 64, 10, 1, 2)
 SHARED_QS = (0.0, 5e-324, 0.05, 0.3, 0.5, 0.6, 0.75, 0.8, 0.95, 0.999, 1.0 - 1e-13,
@@ -897,8 +910,6 @@ SHARED_SPECS = {
 @pytest.mark.parametrize("name", list(SHARED_SPECS))
 def test_routability_sweep_over_a_spec_list_equals_each_spec_alone(name, mode):
     specs = SHARED_SPECS[name]
-    if specs[0].kind is not Geometry.SYMPHONY:  # whose factors stay above 0.01 here
-        assert (1.0 - hazard_table(specs[0], (1.0 - 1e-13,), 1) < 1e-12).all()
     shared = routability_sweep(specs, SHARED_QS, mode)
     assert len(shared) == len(specs)
     for spec, entries in zip(specs, shared):
@@ -913,21 +924,6 @@ def test_routability_sweep_over_a_spec_list_equals_each_spec_alone(name, mode):
             assert _same_entry(got, point), (spec, q)
     if mode is DenominatorMode.PN_MINUS_ONE and specs[-1].d == 2:  # degenerate from q = 0.75
         assert sum(isinstance(entry, ValueError) for entry in shared[-1]) > 2
-
-
-def test_success_prefixes_switch_to_log_domain_per_prefix():
-    # A tiny factor first at row k sends a column down the log-domain
-    # product for every horizon from k on, and for no shorter one.
-    rng = np.random.default_rng(20063)
-    table = rng.uniform(0.05, 0.9, (100, 6))
-    for j, row in enumerate((0, 9, 10, 63, 64, 99)):
-        table[row, j] = 1.0 - 1e-13
-    horizons = (100, 10, 65, 64, 10, 1, 2, 11, 63)
-    for h, got in zip(horizons, analytic._success_prefixes(table, horizons), strict=True):
-        assert got.tobytes() == cumulative_success(table[:h]).tobytes(), h
-        for j in range(table.shape[1]):
-            want = _reference_cumulative_success(table[:h, j])
-            assert got[:, j].tobytes() == want.tobytes(), (h, j)
 
 
 def test_asymptotic_builds_one_hazard_table_per_n_free_geometry(monkeypatch, capsys):
@@ -964,9 +960,79 @@ def test_log1p_of_minus_a_tiny_hazard_is_minus_the_hazard():
 
 
 @pytest.mark.parametrize("q", [0.55, 0.6, 0.7, 0.8, 0.9])
-def test_cumulative_success_on_xor_subnormal_tails_equals_log1p_sum(q):
+def test_log_sums_on_xor_subnormal_tails_equal_log1p_sum(q):
     hazards = hazard_series(GeometrySpec(Geometry.XOR, 16), q, EVIDENCE_HORIZONS[-1])
     assert (hazards < 2.0**-1022).sum() > 1000
     with np.errstate(under="ignore"):
         want = np.exp(np.cumsum(np.log1p(-hazards)))
-    assert cumulative_success(hazards).tobytes() == want.tobytes()
+        got = np.exp(scalability._log_sums(hazards))
+    assert got.tobytes() == want.tobytes()
+
+
+# --- the direct product: where it is valid, and how accurate ------------------
+
+STALL_QS = tuple(round(0.0005 * i, 4) for i in range(1901))  # 0 to 0.95
+
+
+def _stalls(hazards):
+    """Per column, whether a subnormal product meets a factor above 1/2,
+    the only way p * (1 - Q) can round back to p while the true product
+    keeps falling."""
+    p = cumulative_success(hazards)
+    subnormal = (p[:-1] > 0.0) & (p[:-1] < np.finfo(float).tiny)
+    return (subnormal & (1.0 - hazards[1:] > 0.5)).any(axis=0)
+
+
+def test_direct_product_never_stalls_up_to_max_d():
+    # hypercube's, xor's and ring's Q do not hold d, so MAX_D phases cover
+    # every shorter d as a prefix.  Tree's and symphony's factor f is
+    # constant: if f > 1/2, then f^1000 > 2^-1000 is still a normal number,
+    # so neither can stall; both are checked anyway, symphony at several d
+    # and (k_n, k_s), since its Q holds them.
+    specs = [GeometrySpec(kind, MAX_D) for kind in ALL_GEOMETRIES if kind is not Geometry.SYMPHONY]
+    specs += [
+        GeometrySpec(Geometry.SYMPHONY, d, k_n, k_s)
+        for d in (2, 10, 65, 100, 500, MAX_D)
+        for k_n, k_s in ((1, 1), (1, 2), (3, 2), (4, 1))
+    ]
+    for spec in specs:
+        stalls = _stalls(hazard_table(spec, STALL_QS, spec.d))
+        assert not stalls.any(), (spec, [q for q, s in zip(STALL_QS, stalls) if s])
+    # The classifier's 10,000-phase series does stall: a direct product
+    # would end tree's at q = 0.075 on 2.96e-323, where the log sum gives 0.
+    tree = GeometrySpec(Geometry.TREE, 16)
+    hazards = hazard_series(tree, 0.075, EVIDENCE_HORIZONS[-1])
+    assert _stalls(hazards[:, None]).all()
+    assert cumulative_success(hazards)[-1] > 0.0
+    assert classify(tree, 0.075).partial_products[-1] == (EVIDENCE_HORIZONS[-1], 0.0)
+
+
+def _exact_routability(spec, q, mode):
+    """routability from the same float hazards in 80-digit decimals: p(h),
+    the counts n(h) and E[S] carry no error near 2^-53.  The denominator
+    is the double the sweep divides by; this test measures E[S] and the
+    division."""
+    with decimal.localcontext(prec=80):
+        p, reach = Decimal(1), Decimal(0)
+        for hazard, count in zip(hazard_series(spec, q, spec.d).tolist(), distance_profile(spec).values):
+            p *= 1 - Decimal(hazard)
+            reach += count * p
+        n = 1 << spec.d
+        den = (1.0 - q) * n - 1.0 if mode is DenominatorMode.PN_MINUS_ONE else (n - 1.0) * (1.0 - q)
+        return min(reach / Decimal(den), Decimal(1))
+
+
+def test_routability_within_a_priori_bound_of_exact_value():
+    # p(h) takes at most 2h - 1 roundings (each 1 - Q and each multiply),
+    # then n(h) as a double, n(h) * p(h), fsum and the division one each:
+    # the relative error is at most (2d + 3) * 2^-53 to first order.
+    rng = random.Random(20066)
+    kinds = (*((kind, 1, 1) for kind in ALL_GEOMETRIES), (Geometry.SYMPHONY, 3, 2))
+    for _ in range(48):
+        kind, k_n, k_s = rng.choice(kinds)
+        spec = GeometrySpec(kind, rng.randint(65, MAX_D), k_n, k_s)
+        q, mode = rng.uniform(0.0, 0.95), rng.choice(list(DenominatorMode))
+        exact = _exact_routability(spec, q, mode)
+        with decimal.localcontext(prec=80):
+            error = abs(Decimal(routability(spec, q, mode).routability) - exact)
+            assert error <= (2 * spec.d + 3) * Decimal(2) ** -53 * exact, (spec, q, mode)

@@ -114,10 +114,18 @@ GOLDEN = [
     ),
     (
         # A repeated geometry and an unsorted d list with repeats that
-        # straddles the 64-phase direct product: rows stay in argv order.
+        # crosses 64 phases: rows stay in argv order.
         "asymptotic-repeats-unsorted",
         "asymptotic --geometry xor,symphony,xor --d 100,10,65,64,10 --q-start 0 --q-stop 0.95 --q-step 0.05 --kn 3 --ks 2",
         "479c892661821fb022f1cf04fd8b5fb26cef8f1229cfa7663bb73e7337611fab",
+    ),
+    (
+        # Direct products of up to 1,000 factors: tree at d = 132, q = 0.45
+        # and symphony at d = 500, q = 0.045 and at d = 1000, q = 0.025 print
+        # the exactly rounded value of the same float hazards.
+        "asymptotic-direct-products",
+        "asymptotic --geometry tree,symphony --d 132,500,1000 --q-start 0 --q-stop 0.5 --q-step 0.005",
+        "19a5abecc38dc91ab0c229c613cd1714964a93a783ce185fcbfaccab2422e600",
     ),
 ]
 
