@@ -43,12 +43,12 @@ np.power for a scalar ** or math.exp would round differently.  The
 closed-form approximations of the xor and symphony hazards live in the
 tests that compare them with these sums.
 
-Long series (the classifier's 10,000 phases) stop where the computed
-values turn exactly constant, never at a bound: q^m at a fixed point of
-x -> x * q (0 for q <= 0.5; for q > 0.5 the subnormal 5e-324, or a small
-multiple of it near q = 1, which rounds back to itself); ring's tail
-w^(2^(m-1)) once q^(2^(m-1)) is 0, past which w <= q leaves 1 - tail at
-1.
+Long series stop where the computed values turn exactly constant, never
+at a bound: q^m at a fixed point of x -> x * q (0 for q <= 0.5; for
+q > 0.5 the subnormal 5e-324, or a small multiple of it near q = 1, which
+rounds back to itself); ring's tail w^(2^(m-1)) once q^(2^(m-1)) is 0,
+past which w <= q leaves 1 - tail at 1.  The classifier asks for all
+10,000 only of tree and symphony, or as q nears 1 (see scalability).
 """
 
 from __future__ import annotations
@@ -320,7 +320,9 @@ def tree_closed_form(d: int, q: float) -> float:
     """Tree routability ((2-q)^d - 1) / ((1-q)*2^d - 1), clamped to <= 1.
 
     Binomial identity: sum_h C(d,h) (1-q)^h = (2-q)^d - 1.  Both powers
-    are finite doubles for every d up to MAX_D = 1000.
+    are finite doubles for every d up to MAX_D = 1000.  From q = 0.5 on,
+    where 1 - q is exact, (2-q)^d - 1 is expm1(d * log1p(1-q)), which
+    does not cancel to 0 where 2 - q rounds to 1.
     """
     if d < 1:
         raise ValueError(f"identifier length d must be >= 1, got {d}")
@@ -330,4 +332,5 @@ def tree_closed_form(d: int, q: float) -> float:
     denominator = (1.0 - q) * (1 << d) - 1.0
     if denominator <= 0.0:
         raise ValueError(f"degenerate denominator: (1-q)*2^d <= 1 at d={d}, q={q}")
-    return min(((2.0 - q) ** d - 1.0) / denominator, 1.0)
+    numerator = math.expm1(d * math.log1p(1.0 - q)) if q >= 0.5 else (2.0 - q) ** d - 1.0
+    return min(numerator / denominator, 1.0)

@@ -89,9 +89,14 @@ def format_value(value) -> str:
 
 
 def _format_column(values: list) -> list[str]:
-    """format_value of each cell; a column of reals needs no type tests."""
+    """format_value of each cell; reals, ints and None, or plain text need no per-cell call."""
     if all(isinstance(value, float) for value in values):
         return [format(value, ".10g") for value in values]
+    kinds = set(map(type, values))  # exact types: a bool is no int here
+    if kinds <= {int, type(None)}:
+        return ["" if value is None else str(value) for value in values]
+    if kinds == {str} and not any("," in v or '"' in v or "\n" in v for v in values):
+        return values
     return list(map(format_value, values))
 
 

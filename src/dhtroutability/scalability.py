@@ -21,11 +21,15 @@ k_s/d, so the probe holds the configured d fixed while h grows.
 The partial products are exp of a log1p(-Q) sum, the one place outside
 analytic's direct products where p is formed: over 10,000 phases a
 direct product can stall at a subnormal value (tree at q = 0.075 would
-end at 2.96e-323 instead of 0).  The sum stops once a hazard that
-repeats to the end leaves it unchanged, so a repeating tail (all of
-tree's and symphony's) takes log1p once, and exp is taken only at the
+end at 2.96e-323 instead of 0).  A hazard that repeats to the end (all
+of tree's and symphony's) takes log1p once, and exp is taken only at the
 horizons.  Below 2^-54 the sum takes log1p(-h) as -h, its correctly
 rounded value.
+
+hypercube, xor and ring build only the rows that can still move a sum:
+both sums are at least Q(1) = q in magnitude, so a term below 2^-55 * q
+is under a quarter of an ulp of either and rounds away.  Past a row K(q)
+every computed hazard is that small, so each horizon past K reads row K.
 """
 
 from __future__ import annotations
@@ -85,12 +89,12 @@ def classify(spec: GeometrySpec, q: float) -> ScalabilityVerdict:
             f"scalability is defined for 0 < q < 1, got q={q}: with no "
             "failures every geometry routes perfectly at any size"
         )
-    hazards = hazard_series(spec, q, EVIDENCE_HORIZONS[-1])
-    sums = np.cumsum(hazards)
-    logs = _log_sums(hazards)
+    rows = _evidence_rows(spec.kind, q)
+    hazards = hazard_series(spec, q, rows)
+    at = [min(h, rows) - 1 for h in EVIDENCE_HORIZONS]  # no later term moves a sum
     with np.errstate(under="ignore"):
-        products = np.exp(logs[[h - 1 for h in EVIDENCE_HORIZONS]]).tolist()
-    partial_sums = tuple((m, float(sums[m - 1])) for m in EVIDENCE_HORIZONS)
+        products = np.exp(_log_sums(hazards)[at]).tolist()
+    partial_sums = tuple(zip(EVIDENCE_HORIZONS, np.cumsum(hazards)[at].tolist()))
     partial_products = tuple(zip(EVIDENCE_HORIZONS, products))
 
     verdict, limit_estimate, decay_horizon = Verdict.SCALABLE, products[-1], None
@@ -106,11 +110,32 @@ def classify(spec: GeometrySpec, q: float) -> ScalabilityVerdict:
                               decay_horizon)
 
 
+def _evidence_rows(kind: Geometry, q: float) -> int:
+    """Rows of the series past which no term can move either sum.
+
+    Every computed hazard past row K is at most U = slack * q^K:
+
+      hypercube  Q = q^m does not increase                    slack 1
+      xor        Q = q^m (1 + E(m)), E(m) <= m - 1 < 10,000    slack 2 * 10,001
+      ring       Q <= q^m / (1 - w) <= q^m / (1 - q), w <= q   slack 2 / (1 - q)
+
+    The factor 2 covers rounding and xor's subnormal running-sum tail past
+    the fixed point of q^m.  K = 2 + ceil((55 + log2 slack) / log2(1/q))
+    gives U <= 2^-55 * q^2, a row to spare for log2's rounding.  Tree's
+    and symphony's constant hazard moves both sums at every phase.
+    """
+    horizon = EVIDENCE_HORIZONS[-1]
+    slack = {Geometry.HYPERCUBE: 1.0, Geometry.XOR: 2.0 * (horizon + 1),
+             Geometry.RING: 2.0 / (1.0 - q)}.get(kind)
+    if slack is None:
+        return horizon
+    return min(horizon, 2 + math.ceil((55.0 + math.log2(slack)) / -math.log2(q)))
+
+
 def _log_sums(hazards: np.ndarray) -> np.ndarray:
-    """cumsum(log1p(-hazards)) of one series.  Past the first row of a
-    repeating tail whose term left the sum unchanged, each later row is
-    a copy of that last row kept.  A hazard of exactly 1 (q within an
-    ulp of 1) gives log1p(-1) = -inf and p = 0 from there on."""
+    """cumsum(log1p(-hazards)) of one series, with log1p taken once for
+    the repeating tail.  A hazard of exactly 1 (q within an ulp of 1)
+    gives log1p(-1) = -inf and p = 0 from there on."""
     count = len(hazards)
     differs = hazards != hazards[-1]
     tail = count - int(np.argmax(differs[::-1])) if differs.any() else 0  # rows from tail on equal the last
@@ -118,9 +143,4 @@ def _log_sums(hazards: np.ndarray) -> np.ndarray:
     with np.errstate(under="ignore", divide="ignore"):
         np.log1p(sums[head], out=sums[head], where=hazards[head] >= 2.0**-54)  # else -h: log1p(-h) rounded
         sums[tail + 1 :] = sums[tail]  # the tail's one term, taken once
-        np.cumsum(sums[head], out=sums[head])
-        if tail + 1 < count and sums[tail] != (sums[tail - 1] if tail else 0.0):
-            np.cumsum(sums[tail:], out=sums[tail:])  # the term still moves the sum
-        else:
-            sums[tail + 1 :] = sums[tail]
-    return sums
+        return np.cumsum(sums, out=sums)

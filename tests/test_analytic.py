@@ -1,3 +1,4 @@
+import contextlib
 import decimal
 import itertools
 import math
@@ -33,7 +34,12 @@ from dhtroutability.geometry import (
     GeometrySpec,
     distance_profile,
 )
-from dhtroutability.scalability import EVIDENCE_HORIZONS, classify
+from dhtroutability.scalability import (
+    EVIDENCE_HORIZONS,
+    ScalabilityVerdict,
+    Verdict,
+    classify,
+)
 
 Q_GRID = (0.0, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9)
 
@@ -448,9 +454,16 @@ def test_tree_closed_form_large_d():
 
 
 def test_tree_closed_form_next_to_q_one_at_large_d():
-    # 2 - q rounds to 1, which sent the old d > 64 log form to log1p(-1).
+    # 2 - q rounds to 1, which sent the old d > 64 log form to log1p(-1)
+    # and (2-q)^d - 1 to 0; 1 - q is exact, and expm1(d * log1p(1-q))
+    # keeps the numerator to a few roundings.
+    q = 1.0 - 2.0**-53
+    exact_q = Fraction(q)
     for d in (65, 100, 1000):
-        assert 0.0 <= tree_closed_form(d, 1.0 - 2.0**-53) <= 1.0
+        got = tree_closed_form(d, q)
+        assert 0.0 <= got <= 1.0
+        exact = ((2 - exact_q) ** d - 1) / ((1 - exact_q) * 2**d - 1)
+        assert abs(Fraction(got) - exact) / exact < Fraction(1, 10**13), d
 
 
 @settings(max_examples=80, deadline=None)
@@ -512,11 +525,11 @@ def test_hypercube_oracle_small_instance():
 # own power q^(2^(m-1)) is 0 and repeats ring's Q from row fixed + 2 of
 # _powers, multiplies q^m in doubling chunks that stop at a fixed point of
 # x -> x * q, and cuts hypercube's powers where they underflow;
-# scalability._log_sums stops its sum where a repeating tail leaves it
-# unchanged.  The references below are the plain scalar loops, the
-# full-length power, the scalar product p *= 1 - Q that
-# cumulative_success's direct product must equal, and the full log1p sum;
-# the fast paths must match them bit for bit.
+# scalability._log_sums takes log1p once for a repeating tail.  The
+# references below are the plain scalar loops, the full-length power, the
+# scalar product p *= 1 - Q that cumulative_success's direct product must
+# equal, and the full log1p sum; the fast paths must match them bit for
+# bit.
 #
 # Points run: every q of EXACT_Q (0, the smallest subnormal, 1e-300, 1e-5,
 # the 0.005 grid to 0.995, 0.999, 1 - 2^-20, 1 - 2^-53 and 20 seeded random
@@ -720,7 +733,7 @@ def test_cumulative_success_bitwise_equals_reference_with_repeating_tail():
 
 def test_cumulative_success_hazard_of_one_on_a_probed_row():
     # p drops from 1 to exactly 0 at one row, on or next to a multiple of
-    # 64, and the zeros after it are a repeating tail the log sum cuts.
+    # 64, and the zeros after it are a repeating tail the log sum takes once.
     for row in (63, 64, 65, 128, 192, 999):
         hazards = np.zeros(1000)
         hazards[row] = 1.0
@@ -827,48 +840,87 @@ def _bits(values):
     return np.array(values, dtype=float).tobytes()
 
 
+def _reference_verdict(spec, q):
+    """classify's verdict from the full 10,000-phase scalar series, with
+    np.cumsum and the plain log1p sum, or None where classify must raise
+    (a decay horizon that is not finite)."""
+    hazards = _reference_hazards(spec, q, EVIDENCE_HORIZONS[-1])
+    sums = np.cumsum(hazards)
+    with np.errstate(under="ignore"):
+        products = np.exp(_reference_log_sums(hazards))
+    partial_sums = tuple((m, float(sums[m - 1])) for m in EVIDENCE_HORIZONS)
+    partial_products = tuple((m, float(products[m - 1])) for m in EVIDENCE_HORIZONS)
+    if spec.kind not in (Geometry.TREE, Geometry.SYMPHONY):
+        return ScalabilityVerdict(spec, q, Verdict.SCALABLE, partial_products[-1][1],
+                                  partial_sums, partial_products, None)
+    try:
+        decay = math.ceil(math.log(scalability.DECAY_THRESHOLD) / math.log1p(-hazards[0]))
+    except (ZeroDivisionError, OverflowError):
+        return None
+    return ScalabilityVerdict(spec, q, Verdict.UNSCALABLE, 0.0, partial_sums, partial_products,
+                              decay)
+
+
 @pytest.mark.parametrize("kind", ALL_GEOMETRIES)
 def test_classify_long_horizon_matches_full_length_reference(kind):
-    # q = 0.3 and 0.5 drive q^m to exactly 0; from 0.505 on it sticks at a
-    # subnormal fixed point instead, and at 0.95 it never gets there.  The
-    # stopped series must give the full-length log1p sum's evidence bits.
-    # classify takes exp at the horizons alone, past the log sums' cut too:
-    # tree's and symphony's constant columns, p that underflows to 0 well
-    # before 10,000 phases, xor's subnormal tail and, at 1 - 2^-53,
-    # hazards of exactly 1.
+    # hypercube, xor and ring build only the rows that can move a sum;
+    # tree, symphony and every q near 1 build all 10,000.  The whole
+    # verdict must be the full-length reference's, bit for bit (repr
+    # prints each float exactly), at every q that runs 10,000 phases in
+    # the exact head/tail tests above, plus the q table: q^m reaching
+    # exactly 0 (q <= 0.5) or a subnormal fixed point (from 0.505 on),
+    # p underflowing to 0 well before 10,000 phases, xor's subnormal
+    # tail and, at 1 - 2^-53, hazards of exactly 1.
     spec = GeometrySpec(kind, 16)
-    horizon = EVIDENCE_HORIZONS[-1]
     underflows = subnormal_tails = 0
-    for q in (*(q for q in TABLE_QS if q > 0.0), 1.0 - 2.0**-53):
-        hazards = _reference_hazards(spec, q, horizon)
-        sums = np.cumsum(hazards)
-        with np.errstate(under="ignore"):
-            products = np.exp(_reference_log_sums(hazards))
-        if q == 5e-324 and kind in (Geometry.TREE, Geometry.SYMPHONY):
+    for q in sorted({*EXACT_Q_LONG, *TABLE_QS} - {0.0}):
+        want = _reference_verdict(spec, q)
+        if want is None:
             with pytest.raises(ValueError, match="decay horizon is not finite"):
                 classify(spec, q)  # (1 - Q)^h does not fall below 1e-6 in floats
             continue
-        verdict = classify(spec, q)
-        assert verdict.partial_sums == tuple(
-            (m, float(sums[m - 1])) for m in EVIDENCE_HORIZONS
-        ), q
-        assert [h for h, _ in verdict.partial_products] == list(EVIDENCE_HORIZONS)
-        assert _bits([p for _, p in verdict.partial_products]) == _bits(
-            [products[h - 1] for h in EVIDENCE_HORIZONS]
-        ), q
-        if verdict.decay_horizon is None:
-            assert _bits([verdict.limit_estimate]) == _bits([products[-1]]), q
-        underflows += bool(products[1_000] == 0.0 < products[0])
-        subnormal_tails += bool(0.0 < hazards[-1] < np.finfo(float).tiny)
+        assert repr(classify(spec, q)) == repr(want), q
+        products = dict(want.partial_products)
+        underflows += bool(products[1_000] == 0.0 < products[10])
+        subnormal_tails += bool(0.0 < hazard_series(spec, q, 10_000)[-1] < np.finfo(float).tiny)
     assert underflows > 0
     assert subnormal_tails > 0 or kind is not Geometry.XOR
 
 
+def test_classify_builds_few_rows_for_geometric_hazards(monkeypatch, capsys):
+    # On the CLI's grid hypercube, xor and ring need under 1,000 rows, and
+    # tree and symphony, whose sums move at every phase, all 10,000; no q,
+    # not even next to 1, asks for more.
+    asked = []
+    series = scalability.hazard_series
+
+    def counted(spec, q, m_max):
+        asked.append((spec.kind, q, m_max))
+        return series(spec, q, m_max)
+
+    monkeypatch.setattr(scalability, "hazard_series", counted)
+    argv = ["scalability", "--geometry", "all", "--q-start", "0.005", "--q-stop", "0.95",
+            "--q-step", "0.005"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert len(asked) == 5 * 190
+    for kind, q, rows in asked:
+        if kind in (Geometry.TREE, Geometry.SYMPHONY):
+            assert rows == EVIDENCE_HORIZONS[-1], (kind, q)
+        else:
+            assert rows < 1_000, (kind, q)
+    for kind in ALL_GEOMETRIES:
+        for q in (5e-324, 0.999, 1.0 - 2.0**-53):
+            with contextlib.suppress(ValueError):
+                classify(GeometrySpec(kind, 16), q)
+    assert max(rows for _, _, rows in asked) == EVIDENCE_HORIZONS[-1]
+
+
 def test_log_sums_fill_the_full_column():
-    # Past the cut each row is a copy of the last kept one, which is what
-    # summing the repeating term to the end gives, bit for bit.
+    # The repeating tail's one log1p term, summed to the end, gives the
+    # full log1p sum bit for bit, also where it no longer moves the sum.
     qs = (5e-324, 1e-5, 0.3, 0.5, 0.505, 0.9, 0.95, 1.0 - 2.0**-53)
-    cuts = 0
+    settled = 0
     for kind in ALL_GEOMETRIES:
         table = hazard_table(GeometrySpec(kind, 16), qs, EVIDENCE_HORIZONS[-1])
         for hazards in table.T:
@@ -876,8 +928,8 @@ def test_log_sums_fill_the_full_column():
                 terms = np.where(hazards >= 2.0**-54, np.log1p(-hazards), -hazards)
                 sums = scalability._log_sums(hazards)
             assert sums.tobytes() == np.cumsum(terms).tobytes(), kind
-            cuts += bool(sums[-2] == sums[-1])
-    assert cuts > 0
+            settled += bool(sums[-2] == sums[-1])
+    assert settled > 0
 
 
 # --- one hazard table per geometry for a d list -------------------------------
