@@ -43,12 +43,12 @@ np.power for a scalar ** or math.exp would round differently.  The
 closed-form approximations of the xor and symphony hazards live in the
 tests that compare them with these sums.
 
-Long series stop where the computed values turn exactly constant, never
-at a bound: q^m at a fixed point of x -> x * q (0 for q <= 0.5; for
-q > 0.5 the subnormal 5e-324, or a small multiple of it near q = 1, which
-rounds back to itself); ring's tail w^(2^(m-1)) once q^(2^(m-1)) is 0,
-past which w <= q leaves 1 - tail at 1.  The classifier asks for all
-10,000 only of tree and symphony, or as q nears 1 (see scalability).
+Every recurrence runs straight down the rows asked for: q^m is one
+cumprod, hypercube's q^m one power per column, xor's extra term one
+scalar loop per column.  Only ring's tail w^(2^(m-1)) stops, once
+q^(2^(m-1)) is 0: w <= q leaves 1 - w^(2^(m-1)) at 1 from there, and
+Python's pow of it would overflow.  No CLI path asks hypercube, xor or
+ring for more than 1,000 rows (see scalability).
 """
 
 from __future__ import annotations
@@ -120,14 +120,11 @@ def hazard_table(spec: GeometrySpec, qs, m_max: int) -> np.ndarray:
     correction before all remaining useful neighbors are found dead.
     ring sums q^m * w^k over the up to 2^(m-1) progress-free hops a phase
     may waste, with the huge power w^(2^(m-1)) taken by Python's pow
-    while q^(2^(m-1)) is nonzero; past that, w <= q leaves it too small
-    to move 1 - w^(2^(m-1)), and Q repeats once q^m does.  m_max may
-    exceed spec.d; symphony holds d fixed inside Q.
+    while q^(2^(m-1)) is nonzero.  m_max may exceed spec.d; symphony
+    holds d fixed inside Q.
 
-    xor's extra term runs as a scalar loop down each column until every
-    1 - q^(m-1) has rounded to 1, then as extra = 1 + extra, a running
-    sum.  hypercube's q^m is computed while m * log2(1/q) <= 1076; past
-    that it lies below half the smallest subnormal and is 0.
+    Every one of the m_max rows is computed, subnormal q^m included, so
+    a direct 10,000-row call costs up to ~1.5 ms a column.
     """
     qs = tuple(qs)
     for x in qs:
@@ -142,26 +139,24 @@ def hazard_table(spec: GeometrySpec, qs, m_max: int) -> np.ndarray:
         per_phase = [symphony_phase_failure(x, spec.d, spec.k_n, spec.k_s) for x in qs]
         return np.full((m_max, len(q)), per_phase)
     if kind is Geometry.HYPERCUBE:
-        out = np.zeros((m_max, len(q)))
-        for j, x in enumerate(q.tolist()):
-            nonzero = 0 if x == 0.0 else min(m_max, math.floor(1076.0 / -math.log2(x)))
-            with np.errstate(under="ignore"):
-                out[:nonzero, j] = x ** np.arange(1, nonzero + 1, dtype=float)
+        out = np.empty((m_max, len(q)))
+        with np.errstate(under="ignore"):
+            for j, x in enumerate(q.tolist()):
+                out[:, j] = x ** np.arange(1, m_max + 1, dtype=float)
         return out
-    powers, fixed = _powers(q, m_max)
+    with np.errstate(under="ignore"):
+        powers = np.cumprod(np.full((m_max, len(q)), q), axis=0)
     # Row i is phase m = i + 1, whose factor 1 - q^(m-1) is keep[i].
     keep = np.concatenate((np.zeros((1, len(q))), 1.0 - powers[:-1]))
     if kind is Geometry.XOR:
-        head = _first_row(keep == 1.0)
-        extra = np.ones_like(powers)
-        for j, factors in enumerate(keep[1:head].T):
-            column = [0.0]
-            for k in factors.tolist():
-                column.append(k * (1.0 + column[-1]))
-            extra[:head, j] = column
-        # From row head on, keep is 1 and extra = 1 + extra: a running sum.
-        np.cumsum(extra[head - 1 :], axis=0, out=extra[head - 1 :])
-        return powers * np.add(1.0, extra, out=extra)
+        extra = np.empty_like(powers)
+        for j, factors in enumerate(keep[1:].T.tolist()):
+            e, column = 0.0, [0.0]
+            for k in factors:
+                e = k * (1.0 + e)
+                column.append(e)
+            extra[:, j] = column
+        return powers * (1.0 + extra)
     # ring: what is left once tree, symphony, hypercube and xor returned.
     w = q * keep
     tail = np.zeros_like(powers)
@@ -169,36 +164,7 @@ def hazard_table(spec: GeometrySpec, qs, m_max: int) -> np.ndarray:
         # w <= q, so from the first i with q ** 2^i = 0 on, 1 - w ** 2^i is 1.
         rows = next((i for i in range(1, m_max) if x ** (1 << i) == 0.0), m_max)
         tail[1:rows, j] = [w_i ** (1 << i) for i, w_i in enumerate(w[1:rows, j].tolist(), 1)]
-    # From row fixed + 1 on, the powers and w repeat and the tail, which ends
-    # by row 63, is 0 (fixed is 0 only where every q is).
-    live = min(m_max, fixed + 2)
-    out = np.empty_like(powers)
-    out[:live] = powers[:live] * (1.0 - tail[:live]) / (1.0 - w[:live])
-    out[live:] = out[live - 1]
-    return out
-
-
-def _first_row(mask: np.ndarray) -> int:
-    """Index of the first row of mask that is all true, or its length."""
-    rows = mask.all(axis=1)
-    return int(np.argmax(rows)) if rows.any() else len(rows)
-
-
-def _powers(q: np.ndarray, count: int) -> tuple[np.ndarray, int]:
-    """q^1..q^count down each column, multiplied in sequence in doubling
-    chunks, and the row from which all columns repeat (or count): each
-    stops at a fixed point of x -> x * q (see the module docstring)."""
-    out = np.full((count, len(q)), q)
-    end, chunk = 1, 256
-    with np.errstate(under="ignore"):
-        while end < count:
-            if (out[end - 1] * q == out[end - 1]).all():
-                out[end:] = out[end - 1]
-                return out, end - 1
-            start, end = end - 1, min(count, end + chunk)
-            np.cumprod(out[start:end], axis=0, out=out[start:end])
-            chunk *= 2
-    return out, count
+    return powers * (1.0 - tail) / (1.0 - w)
 
 
 def cumulative_success(hazards: np.ndarray) -> np.ndarray:

@@ -7,6 +7,7 @@ import warnings
 from decimal import Decimal
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -518,25 +519,25 @@ def test_hypercube_oracle_small_instance():
             assert _path_success(Geometry.HYPERCUBE, d, q, h) == pytest.approx(oracle, abs=1e-12)
 
 
-# --- exact head/tail evaluation ----------------------------------------------
+# --- exact evaluation against scalar references -------------------------------
 #
-# hazard_table turns xor's recurrence into a running sum once every
-# 1 - q^(m-1) rounds to 1, stops ring's huge powers w^(2^(m-1)) once q's
-# own power q^(2^(m-1)) is 0 and repeats ring's Q from row fixed + 2 of
-# _powers, multiplies q^m in doubling chunks that stop at a fixed point of
-# x -> x * q, and cuts hypercube's powers where they underflow;
+# hazard_table runs each recurrence straight down the rows asked for, and
 # scalability._log_sums takes log1p once for a repeating tail.  The
-# references below are the plain scalar loops, the full-length power, the
+# references below are the plain scalar loops (ring's huge power through
+# exp and log past 2^60, 0 past 2^1023), the full-length power, the
 # scalar product p *= 1 - Q that cumulative_success's direct product must
-# equal, and the full log1p sum; the fast paths must match them bit for
-# bit.
+# equal, and the full log1p sum; the table must match them bit for bit.
 #
 # Points run: every q of EXACT_Q (0, the smallest subnormal, 1e-300, 1e-5,
 # the 0.005 grid to 0.995, 0.999, 1 - 2^-20, 1 - 2^-53 and 20 seeded random
-# q), plus per q the horizons around the m where xor's loop hands over or
-# ring's w settles at q (m and m + HANDOVER_MARGIN, each +-1), around
-# ring's tail stop and repeat row (+-1), around the chunk ends of q^m (+-1)
-# and around hypercube's zero cut (+-2).  The horizons are 1,
+# q), plus per q the horizons around the rows where the values change
+# character: where xor's 1 - q^(m-1) rounds to 1, so its extra term turns
+# into a running sum, or ring's w settles at q with a tail of 0 (m and
+# m + HANDOVER_MARGIN, each +-1); where q's own power q^(2^(m-1)) first
+# is 0 and two rows past the first q^m that x -> x * q maps to itself,
+# from which ring's Q repeats (+-1); where hypercube's q^m falls below half
+# the smallest subnormal, at m = 1076 / log2(1/q), and its first 0 (+-2);
+# and the long, off-decade CHUNK_ENDS (+-1).  The horizons are 1,
 # 2, 3, 64, 65, 100 and 1,000 for every q, and 10,000 for every q off the
 # 0.005 grid and every fifth q on it (the 0.025 grid): the scalar
 # references cost ~3 ms per q at 10,000 phases.  Each reference series is
@@ -546,7 +547,7 @@ def test_hypercube_oracle_small_instance():
 EXACT_HORIZONS = (1, 2, 3, 64, 65, 100, 1_000)
 EXACT_HORIZON_MAX = 10_000
 HANDOVER_MARGIN = 64
-# Row counts at which the doubling chunks of q^m (256, 512, ...) end.
+# Row counts 1 + 256 * (2^k - 1): long horizons between the decades.
 CHUNK_ENDS = (257, 769, 1793, 3841, 7937)
 _EXACT_GRID = tuple(round(0.005 * i, 3) for i in range(1, 200))
 _EXACT_RNG = random.Random(20061)
@@ -639,6 +640,17 @@ def _handover_m(kind, q):
     return None
 
 
+def _fixed_row(q, count):
+    """Row (m - 1) of the first q^m that x -> x * q maps to itself, or
+    count if none of the first count powers is."""
+    x = q
+    for row in range(count):
+        if x * q == x:
+            return row
+        x *= q
+    return count
+
+
 def _boundary_horizons(kind, q, reference):
     if kind is Geometry.HYPERCUBE:
         if q == 0.0:
@@ -651,7 +663,7 @@ def _boundary_horizons(kind, q, reference):
     ends = tuple(b + k for b in CHUNK_ENDS for k in (-1, 0, 1))
     if kind is Geometry.RING:  # the tail's stop, and the row from which Q repeats
         stop = 1 + next(i for i in itertools.count() if q ** (1 << i) == 0.0)
-        fixed = analytic._powers(np.array([q]), len(reference))[1]
+        fixed = _fixed_row(q, len(reference))
         ends += tuple(b + k for b in (stop, fixed + 2) for k in (-1, 0, 1))
     if m is None:
         return ends
@@ -782,7 +794,7 @@ def _reference_hazards(spec, q, m_max):
 @pytest.mark.parametrize("kind", ALL_GEOMETRIES)
 def test_hazard_table_columns_bitwise_equal_single_q_and_reference(kind):
     # Each column of a many-q table is the one-q series and the scalar
-    # reference, at the spec's own horizon and past the first chunk end.
+    # reference, at the spec's own horizon and at 300 rows.
     for d in TABLE_DS:
         spec = GeometrySpec(kind, d)
         for m_max in (d, 300):
@@ -979,6 +991,9 @@ def test_routability_sweep_over_a_spec_list_equals_each_spec_alone(name, mode):
 
 
 def test_asymptotic_builds_one_hazard_table_per_n_free_geometry(monkeypatch, capsys):
+    # The analytic benchmark's sweep and the largest d, over the CLI's
+    # q = 0..0.95 grid: no table runs past max(d) rows, so no CLI path
+    # reaches the long horizons of direct callers.
     built = []
     table = analytic.hazard_table
 
@@ -987,13 +1002,16 @@ def test_asymptotic_builds_one_hazard_table_per_n_free_geometry(monkeypatch, cap
         return table(spec, qs, m_max)
 
     monkeypatch.setattr(analytic, "hazard_table", counted)
-    ds = tuple(range(10, 101, 10))
-    assert main(["asymptotic", "--geometry", "all", "--d", ",".join(map(str, ds))]) == 0
-    rows = [line for line in capsys.readouterr().out.splitlines() if not line.startswith("#")]
-    assert len(rows) == 1 + 5 * len(ds)  # the column header, then one row per spec
-    want = [(kind, 100) for kind in ALL_GEOMETRIES if kind is not Geometry.SYMPHONY]
-    want += [(Geometry.SYMPHONY, d) for d in ds]
-    assert sorted(built) == sorted(want)
+    for ds in (tuple(range(10, 101, 10)), (MAX_D,)):
+        built.clear()
+        argv = ["asymptotic", "--geometry", "all", "--d", ",".join(map(str, ds)),
+                "--q-start", "0", "--q-stop", "0.95", "--q-step", "0.005"]
+        assert main(argv) == 0
+        rows = [line for line in capsys.readouterr().out.splitlines() if not line.startswith("#")]
+        assert len(rows) == 1 + 5 * len(ds) * 191  # the column header, then one row per (spec, q)
+        want = [(kind, max(ds)) for kind in ALL_GEOMETRIES if kind is not Geometry.SYMPHONY]
+        want += [(Geometry.SYMPHONY, d) for d in ds]
+        assert sorted(built) == sorted(want)
 
 
 # --- log1p(-h) is -h below 2^-54 ------------------------------------------------
@@ -1088,3 +1106,80 @@ def test_routability_within_a_priori_bound_of_exact_value():
         with decimal.localcontext(prec=80):
             error = abs(Decimal(routability(spec, q, mode).routability) - exact)
             assert error <= (2 * spec.d + 3) * Decimal(2) ** -53 * exact, (spec, q, mode)
+
+
+# --- an exact oracle at 50 digits ---------------------------------------------
+#
+# Q(m) and p(h, q) of hypercube, xor and ring from the float q, to
+# h = 1,000, and hypercube's limit against the q-Pochhammer symbol
+# (q; q)_inf = prod_{m>=1} (1 - q^m).  Each bound is a first-order worst
+# case, in units of u = 2^-53:
+#
+#   Q(m)  q^m takes m - 1 roundings in the cumprod; xor's extra term adds
+#         3 per row and each 1 - q^(j-1) inherits (j - 2) q^(j-1) /
+#         (1 - q^(j-1)) from the power, ring's 1 / (1 - w) at most q / (1 - q)
+#         times w's: under 4,600 u at q = 0.95 and m = 1,000, so 2^-40
+#         relative (8,192 u).  A subnormal power is good only to a few of
+#         its 2^-1074 steps, and xor's 1 + E(m) scales that by up to 1,000,
+#         so below 2^-1000 the bound is the absolute 2^-40 * 2^-1000.
+#   p(h)  each factor takes 1 - Q and the multiply, and Q's 2^-40 moves
+#         1 - Q by 2^-40 Q / (1 - Q): 2h u + 2^-40 sum_{m<=h} Q / (1 - Q),
+#         relative, with the same floor.
+#   limit classify sums fewer than 1,000 logs (pinned above on this grid),
+#         each rounded within ~15 u of its own size (pow, log1p), so the sum
+#         is off by at most 1,024 u |ln L| and exp adds a rounding: relative
+#         (1,024 |ln L| + 4) u.
+
+ORACLE_DPS = 50
+ORACLE_HORIZON = 1_000
+_ORACLE_RNG = random.Random(20270)
+ORACLE_QS = (0.005, 0.5, 0.95, *(_ORACLE_RNG.uniform(0.0, 0.95) for _ in range(5)))
+ORACLE_Q_BOUND = 2.0**-40
+ORACLE_FLOOR = 2.0**-1000
+
+
+def _oracle_hazards(kind, q, m_max):
+    """Q(1..m_max) at the working precision, from the exact value of q."""
+    q = mpmath.mpf(q)
+    out, q_m, extra = [], mpmath.mpf(1), mpmath.mpf(0)
+    for m in range(1, m_max + 1):
+        q_prev, q_m = q_m, q_m * q  # q^(m-1), q^m
+        if kind is Geometry.HYPERCUBE:
+            out.append(q_m)
+        elif kind is Geometry.XOR:
+            extra = (1 - q_prev) * (1 + extra)  # 0 at m = 1
+            out.append(q_m * (1 + extra))
+        else:
+            w = q * (1 - q_prev)
+            tail = mpmath.exp(mpmath.ldexp(mpmath.log(w), m - 1)) if w else w
+            out.append(q_m * (1 - tail) / (1 - w))
+    return out
+
+
+@pytest.mark.parametrize("kind", [Geometry.HYPERCUBE, Geometry.XOR, Geometry.RING])
+def test_hazards_and_products_within_a_priori_bound_of_exact_values(kind):
+    spec = GeometrySpec(kind, 12)
+    u = mpmath.mpf(2) ** -53
+    with mpmath.workdps(ORACLE_DPS):
+        for q in ORACLE_QS:
+            hazards = hazard_series(spec, q, ORACLE_HORIZON)
+            products = cumulative_success(hazards)
+            p, drift = mpmath.mpf(1), mpmath.mpf(0)  # exact p(h), sum Q / (1 - Q)
+            for h, (got_q, got_p, want_q) in enumerate(
+                zip(hazards.tolist(), products.tolist(), _oracle_hazards(kind, q, ORACLE_HORIZON)), 1
+            ):
+                p *= 1 - want_q
+                drift += want_q / (1 - want_q)
+                assert abs(got_q - want_q) <= ORACLE_Q_BOUND * max(want_q, ORACLE_FLOOR), (q, h)
+                bound = 2 * h * u + ORACLE_Q_BOUND * drift
+                assert abs(got_p - p) <= bound * max(p, ORACLE_FLOOR), (q, h)
+
+
+def test_hypercube_limit_within_a_priori_bound_of_q_pochhammer():
+    spec = GeometrySpec(Geometry.HYPERCUBE, 16)
+    u = mpmath.mpf(2) ** -53
+    with mpmath.workdps(ORACLE_DPS):
+        for q in (round(0.005 * i, 10) for i in range(1, 191)):  # the CLI's scalability grid
+            exact = mpmath.qp(mpmath.mpf(q), mpmath.mpf(q))
+            got = classify(spec, q).limit_estimate
+            assert abs(got - exact) <= (1024 * abs(mpmath.log(exact)) + 4) * u * exact, q
