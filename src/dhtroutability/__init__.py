@@ -25,7 +25,7 @@ from .geometry import (
     GeometrySpec,
     distance_profile,
 )
-from .scalability import ScalabilityVerdict, Verdict, classify
+from .scalability import ScalabilityVerdict, Verdict, classify, classify_sweep
 from .simulator import (
     FailurePattern,
     Overlay,
@@ -56,6 +56,7 @@ __all__ = [
     "Verdict",
     "build_overlay",
     "classify",
+    "classify_sweep",
     "distance_profile",
     "draw_failure_pattern",
     "estimate_routability",

@@ -32,10 +32,14 @@ logs (see scalability).
 hazard_table is the one definition of Q(m), a phases x q table whose
 column j is the scalar recurrence run at qs[j], bit for bit, and
 cumulative_success the one place the direct product is formed.
-hazard_series is one column, and routability and expected_reach are one
-point of routability_sweep.  A d list shares one table and one product
-per geometry but symphony, whose Q holds d, and each d reads its first d
-rows: every step is causal.
+hazard_series is one column.  routability_columns gives, per spec, the
+routability, failed-fraction, E[S], clamp and error columns over a q
+grid, with the denominator, ratio, clamp and 1 - r as numpy operations
+on whole columns; the CLI reads its cells from them, and only
+routability_sweep, with routability as its one point, builds
+RoutabilityResult records.  A d list shares one table and one
+product per geometry but symphony, whose Q holds d, and each d reads its
+first d rows: every step is causal.
 Only the loop's own roundings are re-run: np.cumsum and np.cumprod
 accumulate left to right, and elementwise +, * and / round like Python
 floats; np.sum, closed forms such as xor's P(m) * sum 1/P(k) - 1, and
@@ -46,14 +50,14 @@ tests that compare them with these sums.
 Every recurrence runs straight down the rows asked for: q^m is one
 cumprod, hypercube's q^m one power per column, xor's extra term one
 scalar loop per column.  Only ring's tail w^(2^(m-1)) stops, once
-q^(2^(m-1)) is 0: w <= q leaves 1 - w^(2^(m-1)) at 1 from there, and
-Python's pow of it would overflow.  No CLI path asks hypercube, xor or
-ring for more than 1,000 rows (see scalability).
+q^(2^(m-1)) is below 2^-54: w <= q, so 1 - w^(2^(m-1)) rounds to 1 from
+there, and Python's pow of it would overflow further on.  No CLI path
+asks hypercube, xor or ring for more than 1,000 rows, nor tree or
+symphony for more than one (see scalability).
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 from decimal import Decimal
@@ -120,7 +124,7 @@ def hazard_table(spec: GeometrySpec, qs, m_max: int) -> np.ndarray:
     correction before all remaining useful neighbors are found dead.
     ring sums q^m * w^k over the up to 2^(m-1) progress-free hops a phase
     may waste, with the huge power w^(2^(m-1)) taken by Python's pow
-    while q^(2^(m-1)) is nonzero.  m_max may exceed spec.d; symphony
+    while q^(2^(m-1)) is at least 2^-54.  m_max may exceed spec.d; symphony
     holds d fixed inside Q.
 
     Every one of the m_max rows is computed, subnormal q^m included, so
@@ -161,8 +165,8 @@ def hazard_table(spec: GeometrySpec, qs, m_max: int) -> np.ndarray:
     w = q * keep
     tail = np.zeros_like(powers)
     for j, x in enumerate(q.tolist()):
-        # w <= q, so from the first i with q ** 2^i = 0 on, 1 - w ** 2^i is 1.
-        rows = next((i for i in range(1, m_max) if x ** (1 << i) == 0.0), m_max)
+        # w <= q, so from the first i with q ** 2^i < 2^-54 on, 1 - w ** 2^i rounds to 1.
+        rows = next((i for i in range(1, m_max) if x ** (1 << i) < 2.0**-54), m_max)
         tail[1:rows, j] = [w_i ** (1 << i) for i, w_i in enumerate(w[1:rows, j].tolist(), 1)]
     return powers * (1.0 - tail) / (1.0 - w)
 
@@ -252,34 +256,49 @@ def routability_sweep(
     """
     specs, qs = tuple(specs), tuple(qs)
     mode = DenominatorMode(mode)
-    pn = mode is DenominatorMode.PN_MINUS_ONE
-    valid = []
-    for q in qs:
-        with contextlib.suppress(ValueError):
+    return [
+        [RoutabilityResult(spec, q, r, failed, reach, mode, clamped) if error is None
+         else ValueError(error) for q, r, failed, reach, clamped, error in zip(qs, *columns)]
+        for spec, columns in zip(specs, routability_columns(specs, qs, mode))
+    ]
+
+
+def routability_columns(specs, qs, mode: DenominatorMode = DenominatorMode.PN_MINUS_ONE):
+    """routability_sweep as columns: per spec, the lists routability,
+    failed_fraction, expected_reach, clamped and error over qs.
+
+    error holds the text of the ValueError routability raises at that q,
+    or None; where it is set, the other columns carry no result.  The
+    denominator, the ratio, min(ratio, 1) and 1 - r are numpy operations
+    on each spec's column, which round like the scalar expressions.
+    """
+    specs, qs = tuple(specs), tuple(qs)
+    pn = DenominatorMode(mode) is DenominatorMode.PN_MINUS_ONE
+    rejected: list = [None] * len(qs)
+    for i, q in enumerate(qs):
+        try:
             check_q(q)
-            valid.append(q)
-    sweeps = []
-    for spec, reaches in zip(specs, map(iter, _expected_reaches(specs, valid))):
-        n = 1 << spec.d
-        results: list = []
-        for q in qs:
-            try:
-                check_q(q)
-                reach = next(reaches)
-                den = (1.0 - q) * n - 1.0 if pn else (n - 1.0) * (1.0 - q)
-                if den <= 0.0:  # only (1-q)*N - 1 can be
-                    raise ValueError(f"degenerate denominator: (1-q)*2^d <= 1 at d={spec.d}, "
-                                     f"q={q}; fewer than one expected survivor besides the root")
-            except ValueError as exc:
-                results.append(exc)
-                continue
-            raw = reach / den  # >= 0, as reach >= 0 and den > 0
-            r = min(raw, 1.0)
-            results.append(RoutabilityResult(
-                spec=spec, q=q, routability=r, failed_fraction=1.0 - r, expected_reach=reach,
-                denominator_mode=mode, clamped=raw > 1.0))
-        sweeps.append(results)
-    return sweeps
+        except ValueError as exc:
+            rejected[i] = str(exc)
+    valid = [i for i, error in enumerate(rejected) if error is None]
+    valid_qs = [qs[i] for i in valid]
+    q = np.array(valid_qs, dtype=float)
+    columns = []
+    for spec, reach in zip(specs, _expected_reaches(specs, valid_qs)):
+        n = float(1 << spec.d)
+        den = (1.0 - q) * n - 1.0 if pn else (n - 1.0) * (1.0 - q)
+        errors = rejected.copy()
+        for i in np.flatnonzero(den <= 0.0).tolist():  # only (1-q)*N - 1 can be
+            errors[valid[i]] = (f"degenerate denominator: (1-q)*2^d <= 1 at d={spec.d}, "
+                                f"q={valid_qs[i]}; fewer than one expected survivor "
+                                "besides the root")
+        values = np.full((3, len(qs)), np.nan)  # raw >= 0 where den > 0, as reach >= 0
+        raw = np.divide(reach, den, out=np.full_like(den, np.nan), where=den > 0.0)
+        values[:, valid] = np.minimum(raw, 1.0), reach, raw
+        r, reach, raw = values
+        columns.append((r.tolist(), (1.0 - r).tolist(), reach.tolist(), (raw > 1.0).tolist(),
+                        errors))
+    return columns
 
 
 def tree_closed_form(d: int, q: float) -> float:

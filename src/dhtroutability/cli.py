@@ -28,15 +28,16 @@ import sys
 from dataclasses import dataclass
 
 from . import __version__
-from .analytic import DenominatorMode, routability_sweep
+from .analytic import DenominatorMode, routability_columns
 from .geometry import ALL_GEOMETRIES, Geometry, GeometrySpec
 from .reporting import COLUMNS, render
-from .scalability import classify
+from .scalability import classify_sweep
 from .simulator import SIM_MAX_D, SimSeeds, check_budget, check_scale, estimate_sweep
 
 # Not called here since the grid runs sweeps, but kept importable:
 # bench/tracing.py swaps these names for timed wrappers.
 from .analytic import routability  # noqa: F401
+from .scalability import classify  # noqa: F401
 from .simulator import estimate_routability  # noqa: F401
 
 COMMANDS = ("analytic", "simulate", "compare", "asymptotic", "scalability")
@@ -160,15 +161,6 @@ class ExperimentConfig:
         return meta
 
 
-def _analytic_cells(res) -> dict:
-    if isinstance(res, ValueError):
-        raise res
-    return {
-        "analytic_routability": res.routability,
-        "analytic_failed_fraction": res.failed_fraction,
-    }
-
-
 def _sim_cells(sim) -> dict:
     seeds = sim.seeds
     return {
@@ -177,15 +169,6 @@ def _sim_cells(sim) -> dict:
         "hop_cap_hits": sim.hop_cap_hits,
         "seeds": f"{seeds.build}:{seeds.fail}:{seeds.pair}",
     }
-
-
-def _verdict_cells(spec: GeometrySpec, q: float) -> dict:
-    verdict = classify(spec, q)
-    cells = {"verdict": verdict.verdict.value, "limit_estimate": verdict.limit_estimate}
-    cells.update((f"sum_q_at_{h}", total) for h, total in verdict.partial_sums)
-    cells.update((f"p_at_{h}", product) for h, product in verdict.partial_products)
-    cells["decay_horizon"] = verdict.decay_horizon
-    return cells
 
 
 def compare_tolerance_breach(
@@ -217,12 +200,13 @@ def run_grid(config: ExperimentConfig) -> tuple[list[dict], list[str]]:
     """One row per (geometry, d, q), plus compare's tolerance breaches.
 
     A row gets analytic cells, then simulated cells, or a verdict, as its
-    command asks.  The analytic cells read their row's entry from one
-    routability_sweep over every spec and the whole q grid, the simulated
-    cells from one estimate_sweep per (geometry, d).  A ValueError in an
-    analytic entry or from classify, which hold per q, becomes the row's
-    error and ends that row, and the grid continues.  Every other rule was checked
-    when the config was built.
+    command asks.  The analytic cells read their row's entry from the
+    columns of one routability_columns call over every spec and the whole
+    q grid, the simulated cells from one estimate_sweep per (geometry, d),
+    and a verdict from one classify_sweep per (geometry, d).  An analytic
+    or verdict error, which holds per q, becomes the row's error and ends
+    that row, and the grid continues.  Every other rule was checked when
+    the config was built.
     """
     command = config.command
     analytic = command in ("analytic", "compare", "asymptotic")
@@ -231,31 +215,40 @@ def run_grid(config: ExperimentConfig) -> tuple[list[dict], list[str]]:
     breaches: list[str] = []
     qs = config.q_grid()
     specs = config.specs()
-    sweeps = (routability_sweep(specs, qs, config.denominator_mode) if analytic
-              else [[None] * len(qs)] * len(specs))
-    for spec, results in zip(specs, sweeps):
+    blank = [None] * len(qs)
+    columns = (routability_columns(specs, qs, config.denominator_mode) if analytic
+               else [(blank,) * 5] * len(specs))
+    for spec, (routabilities, failed_fractions, _, _, errors) in zip(specs, columns):
         sims = (estimate_sweep(spec, qs, config.trials, config.pairs_per_trial, config.seeds())
-                if simulated else [None] * len(qs))
-        for q, res, sim in zip(qs, results, sims):
-            row = {"geometry": spec.kind.value, "d": spec.d, "n_nodes": spec.n_nodes, "q": q}
+                if simulated else blank)
+        verdicts = classify_sweep(spec, qs) if command == "scalability" else blank
+        geometry, d, n_nodes = spec.kind.value, spec.d, spec.n_nodes
+        for q, r, failed, error, sim, verdict in zip(qs, routabilities, failed_fractions, errors,
+                                                     sims, verdicts):
+            row = {"geometry": geometry, "d": d, "n_nodes": n_nodes, "q": q}
             rows.append(row)
-            try:
-                if analytic:
-                    row.update(_analytic_cells(res))
-                if simulated:
-                    row.update(_sim_cells(sim))
-                if command == "scalability":
-                    row.update(_verdict_cells(spec, q))
-            except ValueError as exc:
-                row["error"] = str(exc)
+            if isinstance(verdict, ValueError):
+                error = str(verdict)
+            if error is not None:
+                row["error"] = error
                 continue
+            if analytic:
+                row["analytic_routability"] = r
+                row["analytic_failed_fraction"] = failed
+            if simulated:
+                row.update(_sim_cells(sim))
+            if verdict is not None:
+                row["verdict"] = verdict.verdict.value
+                row["limit_estimate"] = verdict.limit_estimate
+                row.update((f"sum_q_at_{h}", total) for h, total in verdict.partial_sums)
+                row.update((f"p_at_{h}", product) for h, product in verdict.partial_products)
+                row["decay_horizon"] = verdict.decay_horizon
             if command == "compare":
-                analytic_r, sim_r = row["analytic_routability"], row["sim_routability"]
-                row["abs_gap"] = abs(analytic_r - sim_r)
-                reason = compare_tolerance_breach(spec.kind, analytic_r, sim_r,
+                row["abs_gap"] = abs(r - row["sim_routability"])
+                reason = compare_tolerance_breach(spec.kind, r, row["sim_routability"],
                                                   row["sim_std_error"])
                 if reason is not None:
-                    breaches.append(f"{spec.kind.value} d={spec.d} q={q:.10g}: {reason}")
+                    breaches.append(f"{geometry} d={d} q={q:.10g}: {reason}")
     return rows, breaches
 
 

@@ -483,8 +483,10 @@ def _pack_alive_links(overlay: Overlay, alive: np.ndarray) -> np.ndarray:
     alive = np.reshape(alive, (-1, overlay.n_nodes))
     ids = np.arange(overlay.n_nodes, dtype=np.int32)
     packed = np.zeros(alive.shape, dtype=np.int32)
+    stored = overlay.spec.kind is Geometry.XOR  # its row c is _link_targets(overlay, c, ids)
     for c in range(len(overlay.roles)):
-        hit = alive.take(_link_targets(overlay, c, ids), axis=1)
+        targets = overlay.table[c] if stored else _link_targets(overlay, c, ids)
+        hit = alive.take(targets, axis=1)
         packed |= np.left_shift(hit, _link_column(overlay, c), dtype=np.int32)
     return packed
 

@@ -522,7 +522,7 @@ def test_hypercube_oracle_small_instance():
 # --- exact evaluation against scalar references -------------------------------
 #
 # hazard_table runs each recurrence straight down the rows asked for, and
-# scalability._log_sums takes log1p once for a repeating tail.  The
+# scalability._log_sums sums log1p(-Q) down one series.  The
 # references below are the plain scalar loops (ring's huge power through
 # exp and log past 2^60, 0 past 2^1023), the full-length power, the
 # scalar product p *= 1 - Q that cumulative_success's direct product must
@@ -745,7 +745,7 @@ def test_cumulative_success_bitwise_equals_reference_with_repeating_tail():
 
 def test_cumulative_success_hazard_of_one_on_a_probed_row():
     # p drops from 1 to exactly 0 at one row, on or next to a multiple of
-    # 64, and the zeros after it are a repeating tail the log sum takes once.
+    # 64, and the log sum stays at -inf over the zeros after it.
     for row in (63, 64, 65, 128, 192, 999):
         hazards = np.zeros(1000)
         hazards[row] = 1.0
@@ -900,37 +900,44 @@ def test_classify_long_horizon_matches_full_length_reference(kind):
 
 
 def test_classify_builds_few_rows_for_geometric_hazards(monkeypatch, capsys):
-    # On the CLI's grid hypercube, xor and ring need under 1,000 rows, and
-    # tree and symphony, whose sums move at every phase, all 10,000; no q,
-    # not even next to 1, asks for more.
-    asked = []
-    series = scalability.hazard_series
+    # On the CLI's grid hypercube, xor and ring need under 1,000 rows a q,
+    # and tree and symphony one row for the whole grid: their constant
+    # hazard's running sums are stepped, not added.  No q, not even next
+    # to 1, asks for more than the 10,000-phase horizon.
+    asked, tables = [], []
+    series, table = scalability.hazard_series, scalability.hazard_table
 
     def counted(spec, q, m_max):
         asked.append((spec.kind, q, m_max))
         return series(spec, q, m_max)
 
+    def counted_table(spec, qs, m_max):
+        qs = tuple(qs)
+        tables.append((spec.kind.value, len(qs), m_max))
+        return table(spec, qs, m_max)
+
     monkeypatch.setattr(scalability, "hazard_series", counted)
+    monkeypatch.setattr(scalability, "hazard_table", counted_table)
     argv = ["scalability", "--geometry", "all", "--q-start", "0.005", "--q-stop", "0.95",
             "--q-step", "0.005"]
     assert main(argv) == 0
     capsys.readouterr()
-    assert len(asked) == 5 * 190
+    assert len(asked) == 3 * 190
+    assert sorted(tables) == [("symphony", 190, 1), ("tree", 190, 1)]
     for kind, q, rows in asked:
-        if kind in (Geometry.TREE, Geometry.SYMPHONY):
-            assert rows == EVIDENCE_HORIZONS[-1], (kind, q)
-        else:
-            assert rows < 1_000, (kind, q)
+        assert kind not in (Geometry.TREE, Geometry.SYMPHONY), (kind, q)
+        assert rows < 1_000, (kind, q)
     for kind in ALL_GEOMETRIES:
         for q in (5e-324, 0.999, 1.0 - 2.0**-53):
             with contextlib.suppress(ValueError):
                 classify(GeometrySpec(kind, 16), q)
     assert max(rows for _, _, rows in asked) == EVIDENCE_HORIZONS[-1]
+    assert max(rows for _, _, rows in tables) == 1
 
 
 def test_log_sums_fill_the_full_column():
-    # The repeating tail's one log1p term, summed to the end, gives the
-    # full log1p sum bit for bit, also where it no longer moves the sum.
+    # The running log1p sum over a full 10,000-row column, with -h taken
+    # below 2^-54, bit for bit, also where a term no longer moves the sum.
     qs = (5e-324, 1e-5, 0.3, 0.5, 0.505, 0.9, 0.95, 1.0 - 2.0**-53)
     settled = 0
     for kind in ALL_GEOMETRIES:
@@ -1012,6 +1019,26 @@ def test_asymptotic_builds_one_hazard_table_per_n_free_geometry(monkeypatch, cap
         want = [(kind, max(ds)) for kind in ALL_GEOMETRIES if kind is not Geometry.SYMPHONY]
         want += [(Geometry.SYMPHONY, d) for d in ds]
         assert sorted(built) == sorted(want)
+
+
+def test_asymptotic_constructs_no_routability_result(monkeypatch, capsys):
+    # The CLI fills its cells from routability_columns; only API callers
+    # of routability_sweep get RoutabilityResult records.
+    built = []
+    record = analytic.RoutabilityResult
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return record(*args, **kwargs)
+
+    monkeypatch.setattr(analytic, "RoutabilityResult", counted)
+    argv = ["asymptotic", "--geometry", "all", "--d", "10,20,100", "--q-start", "0",
+            "--q-stop", "0.95", "--q-step", "0.005"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert built == []
+    routability_sweep([GeometrySpec(Geometry.TREE, 10)], (0.1, 0.2))
+    assert len(built) == 2
 
 
 # --- log1p(-h) is -h below 2^-54 ------------------------------------------------

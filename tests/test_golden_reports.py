@@ -73,6 +73,19 @@ GOLDEN = [
         "183db0d5f949ac2e37ef0c63bbd065c6dc40cb31dab9c56470db5e10c832bb4d",
     ),
     (
+        # The same two reports as JSON, which prints every float by repr:
+        # a last-bit change in a partial sum or a ratio shows here, where
+        # the 10-digit CSV cells above cannot see it.
+        "asymptotic-d10-100-json",
+        "asymptotic --geometry all --d 10,20,30,40,50,60,70,80,90,100 --q-start 0 --q-stop 0.95 --q-step 0.005 --format json",
+        "0a5a0d373798392e0101ee40fe27251d0bb13ee3994e8735b338dda2e2a39f46",
+    ),
+    (
+        "scalability-fine-json",
+        "scalability --q-start 0.005 --q-stop 0.95 --q-step 0.005 --format json",
+        "c9ddb94bbcd1b2ae9049cfefe5b59535a62f5d42115b76717b74a95eb05f67b4",
+    ),
+    (
         # symphony with 3 near links and 4 shortcuts: the per-column span
         # step over more columns than the default k_n = k_s = 1.
         "compare-symphony-kn3-ks4",

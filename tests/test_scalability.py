@@ -1,14 +1,19 @@
 import math
+import random
 
+import numpy as np
 import pytest
 
-from dhtroutability.analytic import DenominatorMode, routability
+from dhtroutability import cli, scalability
+from dhtroutability.analytic import DenominatorMode, routability, symphony_phase_failure
+from dhtroutability.cli import parse_experiment
 from dhtroutability.geometry import ALL_GEOMETRIES, Geometry, GeometrySpec
 from dhtroutability.scalability import (
     EVIDENCE_HORIZONS,
     ScalabilityVerdict,
     Verdict,
     classify,
+    classify_sweep,
 )
 
 EXPECTED_VERDICTS = {
@@ -148,3 +153,149 @@ def test_verdict_is_frozen_record():
     assert isinstance(verdict, ScalabilityVerdict)
     with pytest.raises(AttributeError):
         verdict.q = 0.5
+
+
+# --- tree's and symphony's evidence: stepped sums of a constant ---------------
+#
+# scalability._constant_sums must give np.cumsum(np.full(10_000, c)) at
+# each horizon bit for bit.  The sample, fixed before the first run: the
+# CLI's q grid; symphony's Q on it at d = 16 with (k_n, k_s) = (1, 1) and
+# (3, 2); 2,000 seeded uniforms; 2,000 constants k * 2^-e whose k has 1 to
+# 53 significant bits, so that tie binades (|c| = (k + 1/2) ulps) fall
+# anywhere from the first step to past the last horizon; -log1p(-c) of
+# every constant above; 2^-54 and its neighbours, 5e-324, 1e-320,
+# 1 - 2^-53 and 0.0, which stalls.  The log sums run on log1p(-c) < 0, so
+# the negative of the grid's and symphony's constants, of their log terms
+# and of the edge values run too.
+
+CLI_QS = parse_experiment(
+    ["scalability", "--q-start", "0.005", "--q-stop", "0.95", "--q-step", "0.005"]
+).q_grid()
+AT = [h - 1 for h in EVIDENCE_HORIZONS]
+
+
+def _few_bit_constants(rng, count):
+    bits = 1 + np.arange(count) % 53
+    low = rng.integers(0, 1 << 52, count) & ((1 << (bits - 1)) - 1)
+    k = (1 << (bits - 1)) | low  # exactly `bits` significant bits, below 2^53
+    return np.ldexp(k.astype(float), -(bits - 1) - rng.integers(1, 60, count))
+
+
+def _kernel_sample():
+    rng = np.random.default_rng(20280)
+    grid = np.concatenate((CLI_QS, [symphony_phase_failure(q, 16, k_n, k_s)
+                                    for k_n, k_s in ((1, 1), (3, 2)) for q in CLI_QS]))
+    constants = np.concatenate((grid, rng.random(2000), _few_bit_constants(rng, 2000)))
+    tiny = 2.0**-54
+    edges = [tiny, np.nextafter(tiny, 0.0), np.nextafter(tiny, 1.0), 5e-324, 1e-320,
+             1.0 - 2.0**-53, 0.0]
+    negatives = np.concatenate((grid, -np.log1p(-grid), edges))
+    return np.concatenate((constants, -np.log1p(-constants), edges, -negatives))
+
+
+def _counting_passes(monkeypatch):
+    """Count _constant_sums' passes: each takes one np.frexp."""
+    passes = []
+    frexp = np.frexp
+    monkeypatch.setattr(np, "frexp", lambda x: passes.append(1) or frexp(x))
+    return passes
+
+
+def _running_sums(steps):
+    """(chunk, np.cumsum(np.full(10_000, c)) of each c in it as rows),
+    256 rows at a time: a cumsum along axis 1 adds each row's terms in
+    order, as the one-dimensional cumsum does."""
+    for start in range(0, len(steps), 256):
+        chunk = steps[start : start + 256, None]
+        yield chunk, np.cumsum(np.broadcast_to(chunk, (len(chunk), EVIDENCE_HORIZONS[-1])), axis=1)
+
+
+def test_constant_sums_equal_cumsum_bit_for_bit(monkeypatch):
+    steps = _kernel_sample()
+    passes = _counting_passes(monkeypatch)
+    got = scalability._constant_sums(steps)
+    monkeypatch.undo()
+    assert got.shape == (len(EVIDENCE_HORIZONS), len(steps))
+    want = np.concatenate([sums[:, AT] for _, sums in _running_sums(steps)]).T
+    for j, c in enumerate(steps.tolist()):
+        assert got[:, j].tobytes() == want[:, j].tobytes(), c
+    for j in range(0, len(steps), 997):  # the two-dimensional reference is the plain one
+        assert want[:, j].tobytes() == np.cumsum(np.full(EVIDENCE_HORIZONS[-1], steps[j]))[AT].tobytes()
+    # About one pass per binade the sum crosses (10,000 is ~2^13.3) and
+    # one per horizon, never one per addition.
+    assert len(passes) <= 2 * (14 + len(EVIDENCE_HORIZONS))
+
+
+def test_kernel_sample_has_tie_binades_early_and_late():
+    # Whether fl(s + c) is a tie at some step, from the exact rounding
+    # error of each addition (TwoSum): the few-bit constants must put
+    # ties both before h = 10 and past h = 1,000.  A tie needs an ulp of
+    # s twice c's lowest bit, so a k of b bits ties from about 2^(52 - b)
+    # terms on: only b >= 36 can tie by h = 10,000.
+    constants = _few_bit_constants(np.random.default_rng(20280), 2000)
+    first_ties = []
+    for steps, s in _running_sums(constants[np.arange(2000) % 53 >= 35]):
+        total = s[:, :-1] + steps
+        carry = total - s[:, :-1]
+        error = (s[:, :-1] - (total - carry)) + (steps - carry)
+        ties = np.abs(error) == np.spacing(total) / 2
+        first_ties += (np.argmax(ties, axis=1)[ties.any(axis=1)] + 2).tolist()  # terms in that sum
+    assert min(first_ties) < 10 and max(first_ties) > 1_000
+
+
+def test_constant_sums_of_non_finite_steps_stall_at_once(monkeypatch):
+    # An infinite or nan step stalls at once; a finite one may overflow
+    # on the way to 10,000 terms.
+    steps = np.array([np.inf, -np.inf, np.nan, 1e305, -1.7e308])
+    passes = _counting_passes(monkeypatch)
+    scalability._constant_sums(steps[:3])
+    monkeypatch.undo()
+    assert len(passes) <= 2 * len(EVIDENCE_HORIZONS)
+    got = scalability._constant_sums(steps)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = np.stack([np.cumsum(np.full(EVIDENCE_HORIZONS[-1], c))[AT] for c in steps], axis=1)
+    assert np.array_equal(got, want, equal_nan=True)
+
+
+DENSE_QS = tuple(sorted(random.Random(20282).random() for _ in range(200)))
+EDGE_QS = (0.0, 1.0, 5e-324)
+
+
+@pytest.mark.parametrize("kind", ALL_GEOMETRIES)
+def test_classify_sweep_equals_classify_per_q(kind):
+    # Equal by repr, which prints every float exactly; q = 0 and 1 are
+    # rejected everywhere, and 5e-324 is a non-finite decay horizon for
+    # tree and symphony.
+    links = ((1, 1), (3, 2)) if kind is Geometry.SYMPHONY else ((1, 1),)
+    qs = (*CLI_QS, *DENSE_QS, *EDGE_QS)
+    for k_n, k_s in links:
+        spec = GeometrySpec(kind, 16, k_n, k_s)
+        swept = classify_sweep(spec, qs)
+        assert len(swept) == len(qs)
+        errors = 0
+        for q, got in zip(qs, swept):
+            try:
+                want = classify(spec, q)
+            except ValueError as exc:
+                assert isinstance(got, ValueError) and str(got) == str(exc), q
+                errors += 1
+                continue
+            assert repr(got) == repr(want), q
+        assert errors == (3 if kind in (Geometry.TREE, Geometry.SYMPHONY) else 2)
+    assert classify_sweep(GeometrySpec(kind, 16), ()) == []
+
+
+def test_scalability_calls_classify_sweep_once_per_spec(monkeypatch, capsys):
+    calls = []
+    sweep = cli.classify_sweep
+
+    def counted(spec, qs):
+        calls.append((spec, tuple(qs)))
+        return sweep(spec, qs)
+
+    monkeypatch.setattr(cli, "classify_sweep", counted)
+    argv = ["scalability", "--geometry", "all", "--d", "8,16", "--q-start", "0.005",
+            "--q-stop", "0.95", "--q-step", "0.005"]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert calls == [(spec, CLI_QS) for spec in parse_experiment(argv).specs()]
