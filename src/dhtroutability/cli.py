@@ -48,6 +48,10 @@ Q_GRID_MAX = 0.95
 #: Largest q grid an experiment may request.
 Q_GRID_MAX_POINTS = 10_000
 
+#: Most rows (geometries x d values x q points) a report may hold: a
+#: scalability report as JSON, the dearest, peaks near 1 GB at this size.
+MAX_ROWS = 200_000
+
 _GRID_DEFAULTS = {
     "analytic": {"d": "16", "q_start": 0.0, "q_stop": 0.5, "q_step": 0.05},
     "simulate": {"d": "12", "q_start": 0.0, "q_stop": 0.5, "q_step": 0.05},
@@ -100,7 +104,10 @@ class ExperimentConfig:
         for name, value in (("q-start", self.q_start), ("q-stop", self.q_stop)):
             if not 0.0 <= value <= Q_GRID_MAX:
                 raise UsageError(f"{name} must lie in [0, {Q_GRID_MAX}], got {value}")
-        self.q_grid()
+        rows = len(self.geometries) * len(self.d_values) * len(self.q_grid())
+        if rows > MAX_ROWS:
+            raise UsageError(f"a report may hold at most {MAX_ROWS} rows (geometries x d values "
+                             f"x q points), got {rows}")
         # The budget, each spec, and for a simulated run each spec's scale,
         # by the rules of the layers that will run them, before any row runs.
         try:

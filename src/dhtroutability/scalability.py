@@ -22,19 +22,14 @@ The partial products are exp of a log1p(-Q) sum, the one place outside
 analytic's direct products where p is formed: over 10,000 phases a
 direct product can stall at a subnormal value (tree at q = 0.075 would
 end at 2.96e-323 instead of 0).  exp is taken only at the horizons, and
-below 2^-54 the sum takes log1p(-h) as -h, its correctly rounded value.
-Every sum is the running sum np.cumsum would give, bit for bit.
+below 2^-54 log1p(-Q) is taken as -Q, its correctly rounded value.
 
 classify_sweep takes a whole q grid, and classify is its one point.
-Tree's and symphony's hazard is one constant per q, so both running
-sums, of Q and of log1p(-Q) (np.log1p on the grid's column), come from
-one pass over the grid that steps whole binades of each sum in integer
-ulps (see _constant_sums): about 19 vectorised passes stand for 10,000
-additions per q.  Their fixed cost makes a one-point tree or symphony
-classify dearer than the 10,000-row column and two cumsums it replaced
-(~0.42 against ~0.10 ms), and a grid far cheaper (the CLI's 190 q,
-verdicts included: ~3 against ~19 ms a geometry; 2 vCPUs, Python 3.11,
-numpy 2.4).
+Tree's and symphony's hazard is one constant Q per q, so their evidence
+is closed form, two broadcasts over the grid: the sum is h * Q, one
+rounding, and the product exp(h * log1p(-Q)), good to about
+(4 |h log1p(-Q)| + 4) units of roundoff.  A running sum would add an
+error that grows with h.
 
 hypercube, xor and ring build each q's rows that can still move a sum:
 both sums are at least Q(1) = q in magnitude, so a term below 2^-55 * q
@@ -104,9 +99,8 @@ def classify(spec: GeometrySpec, q: float) -> ScalabilityVerdict:
 def classify_sweep(spec: GeometrySpec, qs) -> list[ScalabilityVerdict | ValueError]:
     """classify at every q of qs: each entry is that verdict, or the
     ValueError classify raises there, so that one bad q does not end the
-    sweep.  Tree's and symphony's evidence comes from one pass over the
-    whole grid (see _constant_sums); hypercube, xor and ring build each
-    q's K(q)-row series."""
+    sweep.  Tree's and symphony's evidence is closed form over the whole
+    grid; hypercube, xor and ring build each q's K(q)-row series."""
     qs = tuple(qs)
     valid = [q for q in qs if 0.0 < q < 1.0]
     if spec.kind in _UNSCALABLE_KINDS:
@@ -137,11 +131,11 @@ def _constant_verdicts(spec: GeometrySpec, qs: list[float]):
     """Tree's or symphony's verdict at each q of qs (all in (0, 1)), or
     the ValueError of a decay horizon that is not finite."""
     hazards = hazard_table(spec, qs, 1)[0]
-    sums = _constant_sums(np.concatenate((hazards, _log_terms(hazards))))
+    horizons = np.array(EVIDENCE_HORIZONS, dtype=float)[:, None]
+    sums = (horizons * hazards).T.tolist()
     with np.errstate(under="ignore"):
-        products = np.exp(sums[:, len(qs) :]).T.tolist()
-    for q, hazard, totals, product in zip(qs, hazards.tolist(), sums[:, : len(qs)].T.tolist(),
-                                          products):
+        products = np.exp(horizons * _log_terms(hazards)).T.tolist()
+    for q, hazard, totals, product in zip(qs, hazards.tolist(), sums, products):
         # Constant hazard: p(h) = (1 - Q)^h, so the decay horizon has a
         # closed form and needs no cap; at some subnormal q it is infinite.
         log_survival = math.log1p(-hazard)
@@ -186,47 +180,3 @@ def _log_sums(hazards: np.ndarray) -> np.ndarray:
     """cumsum(log1p(-hazards)) of one series."""
     return np.cumsum(_log_terms(hazards))
 
-
-def _constant_sums(steps: np.ndarray) -> np.ndarray:
-    """np.cumsum(np.full(10_000, c))[h - 1] at each evidence horizon h,
-    for each constant c of steps, bit for bit: a horizons x steps table.
-
-    Recursive summation of a constant takes one fixed step inside each
-    binade of the running sum.  While s and s + |c| lie in [2^(e-1), 2^e),
-    whose ulp is u = 2^(e-53), fl(s + |c|) is s + m u, with m = |c| / u
-    rounded to the nearest integer.  At a tie, |c| / u = k + 1/2,
-    ties-to-even picks the even one of s/u + k and s/u + k + 1, so once
-    s/u is even every step adds the even one of k and k + 1, which is
-    rint(|c| / u), and s/u stays even.  Each pass makes one real addition,
-    which may cross into the next binade or make s/u even, then jumps in
-    whole ulps to the last step that stays in the binade, or to the
-    horizon.  s/u, m and the step counts are integers below 2^53, held
-    in floats, so the jump, and the floor division that bounds it, are
-    exact.  Subnormal sums share u = 2^-1074 with
-    [2^-1022, 2^-1021).  m = 0 stalls the sum, as does a non-finite one:
-    the jump reaches the horizon at once.  Negative steps run as |c|,
-    since round-to-nearest is symmetric.  That is about one pass per
-    binade and one per horizon: 19 for the CLI grid's 10,000 additions.
-    """
-    size = np.abs(steps)
-    s, terms = size.copy(), np.ones_like(size)
-    out = np.empty((len(EVIDENCE_HORIZONS), len(s)))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for row, horizon in enumerate(EVIDENCE_HORIZONS):
-            while (live := terms < horizon).any():
-                s = np.where(live, s + size, s)  # the real addition
-                terms += live
-                finite = np.isfinite(s)
-                exponent = np.maximum(np.frexp(s)[1], -1021) - 53  # u = 2^exponent
-                units = np.ldexp(s, -exponent)  # s / u
-                ratio = np.ldexp(size, -exponent)  # |c| / u
-                m = np.where(finite, np.rint(ratio), 0.0)
-                odd_tie = (np.abs(m - ratio) == 0.5) & (np.fmod(units, 2.0) == 1.0)
-                gap = horizon - terms
-                room = np.where(m > 0.0, (2.0**53 - 1.0 - units) // np.maximum(m, 1.0), gap)
-                jump = np.where(odd_tie, 0.0, np.minimum(room, gap))
-                units += jump * m
-                terms += jump
-                s = np.where(finite, np.ldexp(units, exponent), s)
-            out[row] = s
-    return np.copysign(out, steps)

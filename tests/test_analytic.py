@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import decimal
 import itertools
 import math
@@ -27,7 +28,7 @@ from dhtroutability.analytic import (
     symphony_phase_failure,
     tree_closed_form,
 )
-from dhtroutability.cli import main
+from dhtroutability.cli import main, parse_experiment
 from dhtroutability.geometry import (
     ALL_GEOMETRIES,
     MAX_D,
@@ -876,14 +877,17 @@ def _reference_verdict(spec, q):
 @pytest.mark.parametrize("kind", ALL_GEOMETRIES)
 def test_classify_long_horizon_matches_full_length_reference(kind):
     # hypercube, xor and ring build only the rows that can move a sum;
-    # tree, symphony and every q near 1 build all 10,000.  The whole
-    # verdict must be the full-length reference's, bit for bit (repr
-    # prints each float exactly), at every q that runs 10,000 phases in
-    # the exact head/tail tests above, plus the q table: q^m reaching
-    # exactly 0 (q <= 0.5) or a subnormal fixed point (from 0.505 on),
-    # p underflowing to 0 well before 10,000 phases, xor's subnormal
-    # tail and, at 1 - 2^-53, hazards of exactly 1.
+    # every q near 1 builds all 10,000.  Their whole verdict must be the
+    # full-length reference's, bit for bit (repr prints each float
+    # exactly), at every q that runs 10,000 phases in the exact head/tail
+    # tests above, plus the q table: q^m reaching exactly 0 (q <= 0.5) or
+    # a subnormal fixed point (from 0.505 on), p underflowing to 0 well
+    # before 10,000 phases, xor's subnormal tail and, at 1 - 2^-53,
+    # hazards of exactly 1.  Tree's and symphony's evidence is closed
+    # form, so it meets the exact oracle's bounds instead, and the rest of
+    # their verdict is the reference's.
     spec = GeometrySpec(kind, 16)
+    constant = kind in (Geometry.TREE, Geometry.SYMPHONY)
     underflows = subnormal_tails = 0
     for q in sorted({*EXACT_Q_LONG, *TABLE_QS} - {0.0}):
         want = _reference_verdict(spec, q)
@@ -891,7 +895,13 @@ def test_classify_long_horizon_matches_full_length_reference(kind):
             with pytest.raises(ValueError, match="decay horizon is not finite"):
                 classify(spec, q)  # (1 - Q)^h does not fall below 1e-6 in floats
             continue
-        assert repr(classify(spec, q)) == repr(want), q
+        got = classify(spec, q)
+        if constant:  # the evidence against the oracle, the rest against the reference
+            with mpmath.workdps(ORACLE_DPS):
+                _check_constant_evidence(got)
+            got = dataclasses.replace(got, partial_sums=want.partial_sums,
+                                      partial_products=want.partial_products)
+        assert repr(got) == repr(want), q
         products = dict(want.partial_products)
         underflows += bool(products[1_000] == 0.0 < products[10])
         subnormal_tails += bool(0.0 < hazard_series(spec, q, 10_000)[-1] < np.finfo(float).tiny)
@@ -901,8 +911,8 @@ def test_classify_long_horizon_matches_full_length_reference(kind):
 
 def test_classify_builds_few_rows_for_geometric_hazards(monkeypatch, capsys):
     # On the CLI's grid hypercube, xor and ring need under 1,000 rows a q,
-    # and tree and symphony one row for the whole grid: their constant
-    # hazard's running sums are stepped, not added.  No q, not even next
+    # and tree and symphony one row for the whole grid: their evidence is
+    # closed form in their constant hazard.  No q, not even next
     # to 1, asks for more than the 10,000-phase horizon.
     asked, tables = [], []
     series, table = scalability.hazard_series, scalability.hazard_table
@@ -1206,7 +1216,155 @@ def test_hypercube_limit_within_a_priori_bound_of_q_pochhammer():
     spec = GeometrySpec(Geometry.HYPERCUBE, 16)
     u = mpmath.mpf(2) ** -53
     with mpmath.workdps(ORACLE_DPS):
-        for q in (round(0.005 * i, 10) for i in range(1, 191)):  # the CLI's scalability grid
+        for q in CLI_QS:
             exact = mpmath.qp(mpmath.mpf(q), mpmath.mpf(q))
             got = classify(spec, q).limit_estimate
             assert abs(got - exact) <= (1024 * abs(mpmath.log(exact)) + 4) * u * exact, q
+
+
+# E[S] and r from the float hazards of each point, against their values
+# at 50 digits: p(h) the exact product of the 1 - Q, n(h) the exact
+# counts, the denominator exact from the float q.  Each bound, in units
+# of u = 2^-53, is a first-order worst case:
+#
+#   E[S]  p(h) takes 2h - 1 roundings, n(h) as a double and n(h) p(h) one
+#         each, fsum one: (2d + 2) u relative.  A product that underflows
+#         is off by at most h 2^-1074 more: d N 2^-1074 absolute.
+#   r     the paper denominator (1 - q) N - 1 rounds 1 - q, whose error
+#         (1 - q) N / den magnifies, and the subtraction; the exact one
+#         rounds N - 1, 1 - q and the product; the division rounds once:
+#         the raw ratio is within E[S]'s bound plus (3 + (1 - q) N / den) u,
+#         and min(., 1) keeps it.
+#   1 - r exact from r >= 1/2 (Sterbenz), one rounding below: r's bound,
+#         absolute, plus 2^-54.
+#
+# The sample: seeded points over every geometry, d <= MAX_D and both
+# modes, and symphony (3, 2) at d = 274-999, q = 0.04-0.075, where the
+# direct product rounds 1 - Q the same way in every factor: r reads up to
+# 479 u off there (d = 977, q = 0.045; and 472 u at d = 955, q = 0.04).
+
+_REACH_RNG = random.Random(20300)
+_REACH_KINDS = (*((kind, 1, 1) for kind in ALL_GEOMETRIES), (Geometry.SYMPHONY, 3, 2))
+REACH_SAMPLE = (
+    *((*_REACH_RNG.choice(_REACH_KINDS), _REACH_RNG.randint(1, MAX_D), _REACH_RNG.uniform(0.0, 0.95),
+       _REACH_RNG.choice(list(DenominatorMode))) for _ in range(24)),
+    *((Geometry.SYMPHONY, 3, 2, _REACH_RNG.randint(274, 999), _REACH_RNG.uniform(0.04, 0.075),
+       _REACH_RNG.choice(list(DenominatorMode))) for _ in range(8)),
+    *((Geometry.SYMPHONY, 3, 2, d, q, mode) for d, q in ((977, 0.045), (955, 0.04))
+      for mode in DenominatorMode),
+)
+
+
+def test_expected_reach_and_routability_within_a_priori_bounds_of_exact_values():
+    u = mpmath.mpf(2) ** -53
+    checked = 0
+    with mpmath.workdps(ORACLE_DPS):
+        for kind, k_n, k_s, d, q, mode in REACH_SAMPLE:
+            spec = GeometrySpec(kind, d, k_n, k_s)
+            try:
+                got = routability(spec, q, mode)
+            except ValueError:
+                continue  # a degenerate denominator
+            p, reach = mpmath.mpf(1), mpmath.mpf(0)
+            for hazard, count in zip(hazard_series(spec, q, d).tolist(), distance_profile(spec).values):
+                p *= 1 - mpmath.mpf(hazard)
+                reach += count * p
+            n, alive = mpmath.mpf(2) ** d, 1 - mpmath.mpf(q)
+            den = alive * n - 1 if mode is DenominatorMode.PN_MINUS_ONE else (n - 1) * alive
+            ratio = reach / den
+            reach_bound = (2 * d + 2) * u * reach + d * n * mpmath.mpf(2) ** -1074
+            assert abs(got.expected_reach - reach) <= reach_bound, (spec, q, mode)
+            bound = reach_bound / den + (3 + alive * n / den) * u * ratio
+            assert abs(got.routability - min(ratio, 1)) <= bound, (spec, q, mode)
+            failed_bound = bound + mpmath.mpf(2) ** -54
+            assert abs(got.failed_fraction - (1 - min(ratio, 1))) <= failed_bound, (spec, q, mode)
+            checked += 1
+    assert checked >= 30
+
+
+# classify's evidence against the exact values of the float hazards it
+# reads, in units of u = 2^-53.  Below 2^-1022 each p bound is taken at
+# 2^-1022, absolute: there the result's spacing is 2^-1074.
+#
+# Tree and symphony: one hazard Q per q, so the evidence is closed form.
+#   sum_q_at_h  h * Q is one rounding: the exact product, correctly
+#               rounded, bit for bit.
+#   p_at_h      exp(h L), L = log1p(-Q): log1p is within ~1 u of L (below
+#               2^-54, -Q is its correct rounding), h * L one more rounding,
+#               exp ~1 u: relative (4 |h L| + 4) u against the 50-digit
+#               exp(h log1p(-Q)).
+# Hypercube, xor and ring: running sums of their first K(q) hazards.
+#   sum_q_at_h  h - 1 roundings of a sum of positive terms; the rows past
+#               K, each under a quarter ulp of the sum, drop (h - K) u / 4
+#               of it at most: h u relative, against math.fsum (the exact
+#               sum of all h hazards, correctly rounded).
+#   p_at_h      each log term within ~1 u of its own size, the sum h - 1
+#               roundings (the dropped rows inside that), exp ~1 u:
+#               relative ((h + 2) |ln P| + 4) u against the 50-digit
+#               P = exp(sum log1p(-Q)).  A hazard below 2^-60 enters the
+#               oracle's log sum as -Q, off by Q^2 / 2 < 2^-61 Q, and the
+#               fsum of those terms is within half an ulp of their sum:
+#               together far below u |ln P|.
+#
+# The constant sample: the CLI's grid, 2,000 seeded q and the edges 5e-324,
+# 1e-300, 2^-54 and its neighbours, 0.5, 0.95 and 1 - 2^-53, for tree and
+# for symphony at (k_n, k_s) = (1, 1) and (3, 2).  The series sample is
+# ORACLE_QS.
+
+CLI_QS = parse_experiment(
+    ["scalability", "--q-start", "0.005", "--q-stop", "0.95", "--q-step", "0.005"]
+).q_grid()
+_TINY = 2.0**-54
+CONSTANT_QS = (
+    *CLI_QS,
+    *(random.Random(20301).random() for _ in range(2000)),
+    5e-324, 1e-300, float(np.nextafter(_TINY, 0.0)), _TINY, float(np.nextafter(_TINY, 1.0)),
+    0.5, 0.95, 1.0 - 2.0**-53,
+)
+SUBNORMAL_FLOOR = mpmath.mpf(2) ** -1022
+
+
+def _check_constant_evidence(verdict):
+    """Tree's or symphony's sum_q_at_h and p_at_h within their bounds, at
+    the working precision."""
+    (hazard,) = hazard_series(verdict.spec, verdict.q, 1).tolist()
+    log_survival = mpmath.log1p(-mpmath.mpf(hazard))
+    for (h, total), (_, product) in zip(verdict.partial_sums, verdict.partial_products):
+        assert total == float(h * Fraction(hazard)), (verdict.spec, verdict.q, h)
+        exact = mpmath.exp(h * log_survival)
+        bound = (4 * abs(h * float(log_survival)) + 4) * 2.0**-53 * max(exact, SUBNORMAL_FLOOR)
+        assert abs(product - exact) <= bound, (verdict.spec, verdict.q, h)
+
+
+@pytest.mark.parametrize(
+    "kind, k_n, k_s", [(Geometry.TREE, 1, 1), (Geometry.SYMPHONY, 1, 1), (Geometry.SYMPHONY, 3, 2)]
+)
+def test_constant_evidence_within_a_priori_bounds_of_exact_values(kind, k_n, k_s):
+    verdicts = scalability.classify_sweep(GeometrySpec(kind, 16, k_n, k_s), CONSTANT_QS)
+    with mpmath.workdps(ORACLE_DPS):
+        for verdict in verdicts:
+            if not isinstance(verdict, ValueError):
+                _check_constant_evidence(verdict)
+    # 5e-324, and for symphony 1e-300, whose hazard underflows to 0, have
+    # no finite decay horizon.
+    assert sum(isinstance(v, ValueError) for v in verdicts) == (1 if kind is Geometry.TREE else 2)
+
+
+@pytest.mark.parametrize("kind", [Geometry.HYPERCUBE, Geometry.XOR, Geometry.RING])
+def test_series_evidence_within_a_priori_bounds_of_exact_values(kind):
+    spec = GeometrySpec(kind, 16)
+    u = mpmath.mpf(2) ** -53
+    with mpmath.workdps(ORACLE_DPS):
+        for q in ORACLE_QS:
+            verdict = classify(spec, q)
+            hazards = hazard_series(spec, q, EVIDENCE_HORIZONS[-1]).tolist()
+            for (h, total), (_, product) in zip(verdict.partial_sums, verdict.partial_products):
+                exact_sum = math.fsum(hazards[:h])
+                assert abs(total - exact_sum) <= h * u * exact_sum, (q, h)
+                tiny = [x for x in hazards[:h] if x < 2.0**-60]
+                log_p = mpmath.fsum(mpmath.log1p(-mpmath.mpf(x)) for x in hazards[:h] if x >= 2.0**-60)
+                log_p -= math.fsum(tiny)
+                exact = mpmath.exp(log_p)
+                bound = ((h + 2) * abs(log_p) + 4) * u * max(exact, SUBNORMAL_FLOOR)
+                assert abs(product - exact) <= bound, (q, h)
+            assert verdict.limit_estimate == product

@@ -297,6 +297,24 @@ def test_config_bounds_pairs_and_q_grid():
         _config("simulate", trials=10_000, pairs_per_trial=10_001)
 
 
+def test_config_bounds_report_rows(monkeypatch, capsys):
+    # Rows are geometries x d values x q points, counted before any row
+    # runs: 5 x 21 x 1,901 = 199,605 is accepted, 5 x 22 x 1,901 is not.
+    grid = dict(q_stop=0.95, q_step=0.0005)
+    assert len(_config("asymptotic", d_values=(10,) * 21, **grid).specs()) == 105
+    with pytest.raises(UsageError, match=r"^a report may hold at most 200000 rows .* got 209110$"):
+        _config("asymptotic", d_values=(10,) * 22, **grid)
+
+    def no_grid(config):
+        raise AssertionError("ran the grid")
+
+    monkeypatch.setattr(cli, "run_grid", no_grid)
+    argv = ["asymptotic", "--d", ",".join(["100"] * 100), "--q-start", "0", "--q-stop", "0.95",
+            "--q-step", "0.0001"]
+    assert main(argv) == 1  # 4,750,500 rows
+    assert capsys.readouterr().err.endswith("got 4750500\n")
+
+
 def test_config_bounds_d():
     assert _config("asymptotic", d_values=(10, 1000)).d_values == (10, 1000)
     for command in ("analytic", "asymptotic", "scalability"):

@@ -5,6 +5,9 @@ for byte.  A change that alters the streams on purpose updates the
 hashes and says so in CHANGES.md.  Running this file as a script,
 ``python tests/test_golden_reports.py``, prints every case's current
 sha256, so that such a change can re-pin them by command.
+``python tests/test_golden_reports.py --dump DIR`` writes each case's
+report to ``DIR/<test id>.txt`` instead, so that the reports of two
+checkouts can be compared with ``diff`` cell by cell.
 """
 
 import hashlib
@@ -38,7 +41,7 @@ GOLDEN = [
     (
         "scalability",
         "scalability",
-        "1f1461684d7d9785b84ca80272e3846ae9db20b2225939502e609c9db050d585",
+        "4fc07ab16abc40f89f5c1132a3b5b9c3141ded3320c5c8e196930dd9395d6856",
     ),
     (
         "compare-json",
@@ -70,7 +73,7 @@ GOLDEN = [
     (
         "scalability-fine",
         "scalability --q-start 0.005 --q-stop 0.95 --q-step 0.005",
-        "183db0d5f949ac2e37ef0c63bbd065c6dc40cb31dab9c56470db5e10c832bb4d",
+        "ec26541c68b1993c59839045e8ba5b38b54456a4d1f9eba421c7f0f00f21759f",
     ),
     (
         # The same two reports as JSON, which prints every float by repr:
@@ -83,7 +86,7 @@ GOLDEN = [
     (
         "scalability-fine-json",
         "scalability --q-start 0.005 --q-stop 0.95 --q-step 0.005 --format json",
-        "c9ddb94bbcd1b2ae9049cfefe5b59535a62f5d42115b76717b74a95eb05f67b4",
+        "3eec35d823fce15067421aba93b9995bf0792b4acea14af6d9d7152b9a4b5ede",
     ),
     (
         # symphony with 3 near links and 4 shortcuts: the per-column span
@@ -150,8 +153,8 @@ def test_golden_report(argv, digest, capsys):
     assert hashlib.sha256(report.encode("utf-8")).hexdigest() == digest
 
 
-def current_digests():
-    """(test id, sha256 of stdout) for every case, from the code as it is."""
+def current_reports():
+    """(test id, stdout) for every case, from the code as it is."""
     import contextlib
     import io
 
@@ -159,9 +162,28 @@ def current_digests():
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             main(argv.split())
-        yield name, hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+        yield name, out.getvalue()
+
+
+def current_digests():
+    """(test id, sha256 of stdout) for every case, from the code as it is."""
+    for name, report in current_reports():
+        yield name, hashlib.sha256(report.encode("utf-8")).hexdigest()
 
 
 if __name__ == "__main__":
-    for name, digest in current_digests():
-        print(f"{digest}  {name}")
+    import argparse
+    import pathlib
+
+    parser = argparse.ArgumentParser(description="Print every golden case's sha256, "
+                                     "or write its report with --dump.")
+    parser.add_argument("--dump", metavar="DIR", help="write each report to DIR/<test id>.txt")
+    args = parser.parse_args()
+    if args.dump:
+        folder = pathlib.Path(args.dump)
+        folder.mkdir(parents=True, exist_ok=True)
+        for name, report in current_reports():
+            (folder / f"{name}.txt").write_text(report, encoding="utf-8")
+    else:
+        for name, digest in current_digests():
+            print(f"{digest}  {name}")
