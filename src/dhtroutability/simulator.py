@@ -39,17 +39,23 @@ seeds, so identical seeds reproduce bit-identical outcomes, on any CPU
 count: from PARALLEL_MIN_NODES nodes on, tables and failure uniforms are
 drawn by one thread per CPU, each from its stream jumped ahead to its
 share's first draw, in place (_draw_below shifts raw draws into a table).
-An overlay, Overlay(spec, table), is its spec plus the one table its build
-draws, a link-major links x N int32 table, one contiguous row per link:
+An overlay is its spec plus the one value its build draws per link, stored
+link-major: the low 16 bits in a links x N uint16 table, and the bits above
+in a uint8 plane of only the rows whose values can reach 2^16 (none up to
+d = 16; at d = 20, three rows for xor and ring, and k_s for symphony):
 
-  tree, hypercube  no table: link c of node v is v ^ (1 << (d - 1 - c))
-  xor              the link targets, whose suffixes are drawn
-  ring, symphony   the clockwise link spans; a target is (v + span) mod N
+  tree, hypercube  nothing: link c of node v is v ^ (1 << (d - 1 - c))
+  xor              the drawn suffix below the flipped bit; the target keeps
+                   v's bits above it
+  ring             span - 2^c; a target is (v + span) mod N
+  symphony         the span
 
-_link_targets reads link targets by that rule, per geometry kind, and
-Overlay.targets, the N x links table, is derived from it only when read.
-Only one trial's overlay is alive at a time.  check_scale caps d at
-SIM_MAX_D, and symphony's k_n too, since each near link is a table row.
+_link_entries reads a link's int32 table entry (xor's target, ring's and
+symphony's span) from what is stored, and _link_targets its target; the
+router reads links only through them.  Overlay.table, .targets and
+.offsets are derived from them only when read.  Only one trial's overlay
+is alive at a time.  check_scale caps d at SIM_MAX_D, and symphony's k_n
+too, since each near link is a table row.
 """
 
 from __future__ import annotations
@@ -103,20 +109,27 @@ class SimSeeds(NamedTuple):
 
 
 class Overlay:
-    """A built topology: its spec plus the one link-major table its build draws.
+    """A built topology: its spec plus the one value its build draws per link.
 
-    table is the links x N int32 table, one contiguous row per link: the
-    link targets for xor, the clockwise link spans for ring and symphony,
-    and None for tree and hypercube, whose link c of v is
-    v ^ (1 << (d - 1 - c)).  The constructor rejects a table whose
-    presence or shape does not fit spec.
+    Overlay(spec, table) takes the links x N int32 table: xor's link
+    targets, ring's and symphony's clockwise spans, None for tree and
+    hypercube.  It rejects a table whose presence, shape or entries do not
+    fit spec: xor row c must flip bit d - 1 - c and keep every bit above it,
+    ring row c must lie in [2^c, 2^(c+1)), symphony's near-j spans must be j
+    and its shortcut spans lie in [1, N).  It stores only each entry's
+    value (see the module docstring), in a links x N uint16 table and, on
+    the rows _high_rows whose values can reach 2^16, a uint8 plane of the
+    bits above.
 
     roles[c] names link column c's kind (bucket-i / finger-i / near-i /
-    shortcut-i).  offsets[v, c] is v's c-th clockwise span, the span
-    table's N x links .T view (None off the ring), and targets[v, c] the
-    node id of v's c-th link, derived on first access and cached; routing
-    never reads it.
+    shortcut-i).  table, offsets[v, c], v's c-th clockwise span (table's
+    N x links .T view; None off the ring), and targets[v, c], the node id of
+    v's c-th link, are derived on first read and cached; routing never
+    reads them.
     """
+
+    _low = _high = None
+    _high_rows = range(0)
 
     def __init__(self, spec: GeometrySpec, table: np.ndarray | None = None):
         self.spec = spec
@@ -124,14 +137,34 @@ class Overlay:
         if (table is None) != (kind in (Geometry.TREE, Geometry.HYPERCUBE)):
             stored = "no" if table is not None else "a"
             raise ValueError(f"{kind} overlays store {stored} link table")
-        if table is not None:
-            table = np.ascontiguousarray(table, dtype=np.int32)
-            links = len(self.roles)
-            if table.shape != (links, self.n_nodes):
-                raise ValueError(f"{kind} link table must be {links} x {self.n_nodes}, "
-                                 f"got {table.shape}")
-        self.table = table
-        self.offsets = table.T if kind in (Geometry.RING, Geometry.SYMPHONY) else None
+        if table is None:
+            return
+        links = len(self.roles)
+        if np.shape(table) != (links, self.n_nodes):
+            raise ValueError(f"{kind} link table must be {links} x {self.n_nodes}, "
+                             f"got {np.shape(table)}")
+        self._allocate()
+        ids = np.arange(self.n_nodes)
+        for c, entries in enumerate(np.asarray(table)):  # one row's int64 temporaries at a time
+            entries = entries.astype(np.int64)
+            base = _value_base(spec, c, ids)
+            values = entries if base is None else entries ^ base
+            lo, hi = _value_bounds(spec, c)
+            bad = np.flatnonzero((values < lo) | (values >= hi))
+            if bad.size:
+                raise ValueError(f"{kind} link {self.roles[c]} of node {bad[0]} is out of range: "
+                                 f"{entries[bad[0]]}")
+            self._low[c] = values
+            if c in self._high_rows:
+                self._high[c - self._high_rows.start] = values >> 16
+
+    def _allocate(self) -> None:
+        """Allocate the unfilled uint16 table and uint8 plane."""
+        links = len(self.roles)
+        tall = np.flatnonzero(_value_bounds(self.spec, np.arange(links))[1] > 1 << 16)
+        self._high_rows = range(tall[0], tall[-1] + 1) if tall.size else range(0)
+        self._low = np.empty((links, self.n_nodes), dtype=np.uint16)
+        self._high = np.empty((len(self._high_rows), self.n_nodes), dtype=np.uint8)
 
     @property
     def n_nodes(self) -> int:
@@ -147,34 +180,80 @@ class Overlay:
         link = "finger" if spec.kind is Geometry.RING else "bucket"
         return tuple(f"{link}-{i}" for i in range(1, spec.d + 1))
 
+    def _derive(self, rule) -> np.ndarray:
+        """rule(self, c, nodes) for each link column c, as a links x N int32
+        table, 2^16 nodes at a time, so that the rule's temporaries stay in
+        cache."""
+        ids = np.arange(self.n_nodes, dtype=np.int32)
+        table = np.empty((len(self.roles), self.n_nodes), dtype=np.int32)
+        for c, row in enumerate(table):
+            for first in range(0, self.n_nodes, 1 << 16):
+                row[first : first + (1 << 16)] = rule(self, c, ids[first : first + (1 << 16)])
+        return table
+
+    @functools.cached_property
+    def table(self) -> np.ndarray | None:
+        return None if self._low is None else self._derive(_link_entries)
+
+    @functools.cached_property
+    def offsets(self) -> np.ndarray | None:
+        return self.table.T if self.spec.kind in (Geometry.RING, Geometry.SYMPHONY) else None
+
     @functools.cached_property
     def targets(self) -> np.ndarray:
-        """targets[v, c]: the node id of v's c-th link (N x links int32)."""
-        if self.spec.kind is Geometry.XOR:
-            return self.table.T
-        ids = np.arange(self.n_nodes, dtype=np.int32)
-        columns = np.arange(len(self.roles), dtype=np.int32)[:, None]
-        table = np.empty((columns.size, self.n_nodes), dtype=np.int32)
-        # 4,096 nodes at a time, so that the rule's temporaries stay in cache.
-        for first in range(0, self.n_nodes, 1 << 12):
-            nodes = ids[first : first + (1 << 12)]
-            table[:, first : first + nodes.size] = _link_targets(self, columns, nodes)
-        return table.T
+        return self.table.T if self.spec.kind is Geometry.XOR else self._derive(_link_targets).T
+
+
+def _value_bounds(spec: GeometrySpec, c):
+    """(lo, hi): the range [lo, hi) of the values stored in rows c."""
+    if spec.kind is Geometry.XOR:
+        return 0, (spec.n_nodes >> 1) >> c
+    if spec.kind is Geometry.RING:
+        return 0, 1 << c
+    near = c < spec.k_n
+    return np.where(near, c + 1, 1), np.where(near, c + 2, spec.n_nodes)
+
+
+def _value_base(spec: GeometrySpec, column, node):
+    """What link column column of the nodes node XORs onto its stored value
+    to give its table entry: xor's target bits from the flipped one up,
+    ring's 2^c, and None for symphony, which stores its entries."""
+    if spec.kind is Geometry.XOR:
+        flipped = spec.d - 1 - column
+        return ((node >> flipped) ^ 1) << flipped
+    return np.left_shift(1, column, dtype=np.int32) if spec.kind is Geometry.RING else None
+
+
+def _link_entries(overlay: Overlay, column, node):
+    """table[column, node] of the nodes node, int32 arrays that broadcast:
+    the stored value, its uint16 table bits and on _high_rows the plane's
+    bits above them, XOR its _value_base.  A column outside the table gives
+    some value; callers use it only where they discard it."""
+    n = overlay.n_nodes
+    value = overlay._low.take(column * n + node, mode="clip").astype(np.int32)
+    rows = overlay._high_rows
+    if rows and np.ndim(column):
+        row = np.subtract(column, rows.start)
+        high = np.left_shift(overlay._high.take(row * n + node, mode="clip"), 16, dtype=np.int32)
+        value |= np.where((row >= 0) & (row < len(rows)), high, 0)
+    elif column in rows:
+        value |= np.left_shift(overlay._high[column - rows.start].take(node), 16, dtype=np.int32)
+    base = _value_base(overlay.spec, column, node)
+    return value if base is None else value ^ base
 
 
 def _link_targets(overlay: Overlay, column, node):
     """The targets of link column column of the nodes node, int32 arrays
-    that broadcast, by the overlay's geometry.  A column outside the
-    table gives some node id; callers use it only where they discard it."""
-    n = overlay.n_nodes
-    kind = overlay.spec.kind
-    if kind is Geometry.XOR:
-        return overlay.table.take(column * n + node, mode="clip")
-    if kind in (Geometry.RING, Geometry.SYMPHONY):
-        # int32 cannot overflow: ids and spans are below 2^SIM_MAX_D (near
-        # spans are at most k_n <= SIM_MAX_D), so a sum is below 2^21.
-        return (node + overlay.table.take(column * n + node, mode="clip")) & (n - 1)
-    return node ^ np.left_shift(1, overlay.spec.d - 1 - column, dtype=np.int32)
+    that broadcast, by the overlay's geometry: xor's table entry, (node +
+    span) mod N on ring and symphony.  A column outside the table gives
+    some node id; callers use it only where they discard it."""
+    spec = overlay.spec
+    if spec.kind in (Geometry.TREE, Geometry.HYPERCUBE):
+        return node ^ np.left_shift(1, spec.d - 1 - column, dtype=np.int32)
+    entry = _link_entries(overlay, column, node)
+    # int32 cannot overflow: ids and spans are below 2^SIM_MAX_D (near spans
+    # are at most k_n <= SIM_MAX_D), so a sum is below 2^21.
+    return entry if spec.kind is Geometry.XOR else (node + entry) & (overlay.n_nodes - 1)
 
 
 def check_scale(spec: GeometrySpec) -> None:
@@ -234,29 +313,33 @@ def _draw_in_shares(seed: int, table: np.ndarray, per_draw: int, fill) -> np.nda
     return table
 
 
-def _draw_below(rng: np.random.Generator, low: int, width: int, out: np.ndarray) -> None:
-    """Fill out with rng.integers(low, low + width, size=out.size), the
-    same values and generator state, for a power-of-two width below 2^32
-    and an even out.size.
+def _draw_below(rng: np.random.Generator, bits: int, out: np.ndarray, high=None) -> None:
+    """Fill out with rng.integers(0, 1 << bits, size=out.size), the same
+    values and generator state, for bits below 32 and an even out.size,
+    each value wrapped to out's dtype, and high, if given, with each
+    value >> 16.
 
     On a power-of-two range Lemire's method never rejects, so each value
-    is the top log2(width) bits of one 32-bit output, two per raw 64-bit
-    draw (low half first), shifted straight into out through a uint32
-    view.  Width 1 draws nothing, as in numpy.
+    is the top bits bits of one 32-bit output, two per raw 64-bit draw
+    (low half first), shifted straight into out.  0 bits draw nothing, as
+    in numpy.
     """
-    if width == 1:
-        out.fill(low)
+    if bits == 0:
+        for part in (out, high if high is not None else out):
+            part.fill(0)
         return
-    raw = rng.bit_generator.random_raw(out.size // 2).astype("<u8", copy=False)
-    np.right_shift(raw.view("<u4"), 33 - width.bit_length(), out=out.view(np.uint32))
-    out += low
+    raw = rng.bit_generator.random_raw(out.size // 2).astype("<u8", copy=False).view("<u4")
+    np.right_shift(raw, 32 - bits, out=out)
+    if high is not None:
+        np.right_shift(raw, 48 - bits, out=high)
 
 
 def build_overlay(spec: GeometrySpec, build_seed: int) -> Overlay:
     """Construct the full adjacency for one overlay instance.
 
     Rejects a spec check_scale rejects.  All randomized choices come from
-    build_seed, drawn column by column in a fixed order.
+    build_seed, drawn row by row in a fixed order straight into the stored
+    planes.
     """
     check_scale(spec)
     d = spec.d
@@ -269,34 +352,40 @@ def build_overlay(spec: GeometrySpec, build_seed: int) -> Overlay:
         # Bucket-i neighbor (row i-1) flips bit i (bit 1 = most significant)
         # and keeps every other bit, so tree hops correct exactly one bit.
         return Overlay(spec)
+    overlay = Overlay.__new__(Overlay)
+    overlay.spec = spec
+    overlay._allocate()
+    low, rows = overlay._low, overlay._high_rows
+
+    def high(row, node, part):  # the uint8 plane's part beside part, or None
+        return overlay._high[row - rows.start, node : node + part.size] if row in rows else None
+
     if kind is Geometry.XOR:
         # xor keeps bits 1..i-1, flips bit i, and draws the remaining d-i
         # bits uniformly at random (the last bucket's width 1 draws nothing).
-        def buckets(rng, part, row, node):
-            bit = n >> (row + 1)
-            _draw_below(rng, 0, bit, part)
-            ids = np.arange(node, node + part.size, dtype=np.int32)
-            part |= np.bitwise_xor(np.bitwise_and(ids, -bit, out=ids), bit, out=ids)
-
-        return Overlay(spec, _draw_in_shares(build_seed, np.empty((d, n), dtype=np.int32), 2, buckets))
-    if kind is Geometry.RING:
+        buckets = lambda rng, part, row, node: _draw_below(rng, d - 1 - row, part, high(row, node, part))
+        _draw_in_shares(build_seed, low, 2, buckets)
+    elif kind is Geometry.RING:
         # Finger i spans a clockwise offset drawn uniformly from
         # [2^(i-1), 2^i); finger 1 is always the immediate successor.
-        spans = np.empty((d, n), dtype=np.int32)
-        spans[0] = 1
-        fingers = lambda rng, part, row, node: _draw_below(rng, 2 << row, 2 << row, part)
-        _draw_in_shares(build_seed, spans[1:], 2, fingers)
-        return Overlay(spec, spans)
-    # symphony: k_n immediate clockwise successors plus k_s shortcuts of
-    # harmonic length floor(N^u), u ~ U[0,1), drawn in place in u.
-    def shortcuts(rng, part, row, node):
-        u = rng.random(part.size)
-        part[...] = np.clip(np.floor(np.power(n, u, out=u), out=u), 1, n - 1, out=u)
+        low[0] = 0
+        fingers = lambda rng, part, row, node: _draw_below(rng, row + 1, part, high(row + 1, node, part))
+        _draw_in_shares(build_seed, low[1:], 2, fingers)
+    else:
+        # symphony: k_n immediate clockwise successors plus k_s shortcuts of
+        # harmonic length floor(N^u), u ~ U[0,1), drawn in place in u.
+        def shortcuts(rng, part, row, node):
+            u = rng.random(part.size)
+            np.clip(np.floor(np.power(n, u, out=u), out=u), 1, n - 1, out=u)
+            top = high(spec.k_n + row, node, part)
+            span = u if top is None else u.astype(np.uint32)
+            part[...] = span
+            if top is not None:
+                np.right_shift(span, 16, out=top)
 
-    spans = np.empty((spec.k_n + spec.k_s, n), dtype=np.int32)
-    spans[: spec.k_n] = np.arange(1, spec.k_n + 1, dtype=np.int32)[:, None]
-    _draw_in_shares(build_seed, spans[spec.k_n :], 1, shortcuts)
-    return Overlay(spec, spans)
+        low[: spec.k_n] = np.arange(1, spec.k_n + 1)[:, None]
+        _draw_in_shares(build_seed, low[spec.k_n :], 1, shortcuts)
+    return overlay
 
 
 @dataclass(eq=False)
@@ -401,15 +490,15 @@ def _route_batch(overlay: Overlay, alive: np.ndarray, src, dst, row=0):
     n = overlay.n_nodes
     alive = np.ravel(alive)
     if overlay.spec.kind is Geometry.SYMPHONY:
-        spans = overlay.table
+        links = range(len(overlay.roles))
 
         def step(node, goal, base):
             # The longest alive span that does not overshoot, one link
             # column at a time; span 0 means no link is usable.
             here = (goal - node) & (n - 1)
             span = np.zeros_like(here)
-            for column in spans:
-                o = column.take(node)
+            for column in links:
+                o = _link_entries(overlay, column, node)
                 usable = alive.take(base + ((node + o) & (n - 1)))
                 usable &= o <= here
                 np.maximum(span, o * usable, out=span)
@@ -427,7 +516,7 @@ def _route_batch(overlay: Overlay, alive: np.ndarray, src, dst, row=0):
         if ring:
             here = (goal - node) & (n - 1)
             top = _bit_length(here) - 1
-            overshoot = overlay.table.take(top * n + node) > here
+            overshoot = _link_entries(overlay, top, node) > here
             usable = (2 << top) - 1 - (overshoot << top)
         else:
             usable = node ^ goal
@@ -483,10 +572,8 @@ def _pack_alive_links(overlay: Overlay, alive: np.ndarray) -> np.ndarray:
     alive = np.reshape(alive, (-1, overlay.n_nodes))
     ids = np.arange(overlay.n_nodes, dtype=np.int32)
     packed = np.zeros(alive.shape, dtype=np.int32)
-    stored = overlay.spec.kind is Geometry.XOR  # its row c is _link_targets(overlay, c, ids)
     for c in range(len(overlay.roles)):
-        targets = overlay.table[c] if stored else _link_targets(overlay, c, ids)
-        hit = alive.take(targets, axis=1)
+        hit = alive.take(_link_targets(overlay, c, ids), axis=1)
         packed |= np.left_shift(hit, _link_column(overlay, c), dtype=np.int32)
     return packed
 

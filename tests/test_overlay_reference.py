@@ -104,6 +104,26 @@ def test_split_build_matches_reference(kind, k_s, d, chunk, cpus, monkeypatch):
     _assert_matches_reference(GeometrySpec(kind, d, k_s=k_s), 2**62 + 3)
 
 
+@pytest.mark.parametrize(
+    "kind, k_s", [(Geometry.XOR, 1), (Geometry.RING, 1), (Geometry.SYMPHONY, 1), (Geometry.SYMPHONY, 3)]
+)
+def test_high_plane_build_matches_reference(kind, k_s, monkeypatch):
+    # At d = 18 xor's bucket-1, ring's finger-18 and symphony's shortcuts
+    # hold values from 2^16 on, whose top bits sit in the uint8 plane; the
+    # build on one or three shares, and Overlay(spec, table), store them.
+    spec = GeometrySpec(kind, 18, k_s=k_s)
+    targets, offsets, roles = reference_overlay(spec, 2**62 + 3)
+    for cpus in (1, 3):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        overlay = build_overlay(spec, 2**62 + 3)
+        assert len(overlay._high_rows) == k_s
+        _assert_table(overlay.targets, targets)
+        assert offsets is None if kind is Geometry.XOR else np.array_equal(overlay.offsets, offsets)
+    again = simulator.Overlay(spec, overlay.table)
+    assert again._high_rows == overlay._high_rows
+    assert np.array_equal(again.table, overlay.table)
+
+
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 @pytest.mark.parametrize("chunk", [2, 1 << 16])
 @pytest.mark.parametrize("n_nodes", [0, 1, 2, 7, 12, 1001])
@@ -118,17 +138,21 @@ def test_split_failure_draw_matches_one_generator(n_nodes, chunk, cpus, monkeypa
 
 @pytest.mark.parametrize("log_width", range(20))
 def test_draw_below_matches_integers(log_width):
-    # Same values as numpy's bounded draw from a twin generator, and the
-    # same generator state after it: the next draws agree too.
+    # Same values as numpy's bounded draw from a twin generator, whole in an
+    # int32 out or split into a uint16 out and a uint8 plane of the bits
+    # above, and the same generator state after it: the next draws agree too.
     width = 1 << log_width
-    for low, n in ((0, 2), (width, 256), (5, 1000)):
-        ours, theirs = np.random.default_rng(log_width), np.random.default_rng(log_width)
-        out = np.empty(n, dtype=np.int32)
-        simulator._draw_below(ours, low, width, out)
-        want = theirs.integers(low, low + width, size=n, dtype=np.int64)
-        assert out.tolist() == want.tolist()
-        assert ours.integers(0, 1000, size=3).tolist() == theirs.integers(0, 1000, size=3).tolist()
-        assert ours.random() == theirs.random()
+    for n in (2, 256, 1000):
+        for split in (False, True):
+            ours, theirs = np.random.default_rng(log_width), np.random.default_rng(log_width)
+            out = np.empty(n, dtype=np.uint16 if split else np.int32)
+            high = np.empty(n, dtype=np.uint8) if split else None
+            simulator._draw_below(ours, log_width, out, high)
+            want = theirs.integers(0, width, size=n, dtype=np.int64)
+            got = out.astype(np.int64) | (high.astype(np.int64) << 16 if split else 0)
+            assert got.tolist() == want.tolist()
+            assert ours.integers(0, 1000, size=3).tolist() == theirs.integers(0, 1000, size=3).tolist()
+            assert ours.random() == theirs.random()
 
 
 D20_SEED13_SHA256 = {

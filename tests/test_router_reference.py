@@ -24,6 +24,7 @@ from dhtroutability.simulator import (
     estimate_routability,
     route,
 )
+from test_overlay_reference import reference_overlay
 
 MASK_GEOMETRIES = (Geometry.TREE, Geometry.HYPERCUBE, Geometry.XOR, Geometry.RING)
 
@@ -69,13 +70,14 @@ def reference_route(kind, targets, offsets, alive, src, dst, hop_cap):
     return True, hops, None
 
 
-def _assert_agree(monkeypatch, overlay, alive, src, dst, route_checks):
+def _assert_agree(monkeypatch, overlay, alive, src, dst, route_checks, links=None):
     """route() on the first route_checks pairs, and _route_batch on every
     pair and each word source, give reference_route's (delivered, hops,
-    reason)."""
+    reason) over links, a (targets, offsets) pair, by default the overlay's."""
     hop_cap = simulator.HOP_CAP_FACTOR * len(alive)
+    targets, offsets = links or (overlay.targets, overlay.offsets)
     want = [
-        reference_route(overlay.spec.kind, overlay.targets, overlay.offsets, alive, s, t, hop_cap)
+        reference_route(overlay.spec.kind, targets, offsets, alive, s, t, hop_cap)
         for s, t in zip(src.tolist(), dst.tolist())
     ]
     pattern = FailurePattern(alive=alive, q=0.0, fail_seed=0)
@@ -116,6 +118,22 @@ def test_batched_router_matches_reference(kind, d, q, monkeypatch):
     # Dead endpoints included: a dead dst can only dead-end.
     src, dst = _pairs(1 << d, rng, limit=1500)
     _assert_agree(monkeypatch, overlay, alive, src, dst, route_checks=100)
+
+
+@pytest.mark.parametrize("kind", [Geometry.XOR, Geometry.RING])
+def test_high_plane_router_matches_reference_overlay(kind, monkeypatch):
+    # At d = 18 the router's links include values read from the uint8
+    # plane; the reference routes over reference_overlay's own targets, not
+    # over Overlay.targets, which the router's link rule derives.
+    spec = GeometrySpec(kind, 18)
+    rng = np.random.default_rng(18)
+    seed = int(rng.integers(2**32))
+    overlay = build_overlay(spec, seed)
+    targets, offsets, _ = reference_overlay(spec, seed)
+    for q in (0.1, 0.3):
+        alive = draw_failure_pattern(spec.n_nodes, q, int(rng.integers(2**32))).alive
+        src, dst = _pairs(spec.n_nodes, rng, limit=150)
+        _assert_agree(monkeypatch, overlay, alive, src, dst, route_checks=20, links=(targets, offsets))
 
 
 @pytest.mark.parametrize("d", [3, 6, 10])

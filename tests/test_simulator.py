@@ -170,6 +170,35 @@ def test_overlay_rejects_malformed_table(kind, shape, match):
         Overlay(GeometrySpec(kind, 4), table)
 
 
+@pytest.mark.parametrize(
+    "kind, row, node, entry",
+    [
+        (Geometry.XOR, 0, 0, 12),  # past N = 8
+        (Geometry.XOR, 1, 0b101, 0b011),  # changes a bit above the flipped one
+        (Geometry.XOR, 2, 0b110, 0b110),  # does not flip its bit
+        (Geometry.XOR, 0, 0b001, -7),
+        (Geometry.RING, 1, 0, -3),
+        (Geometry.RING, 2, 5, 8),  # finger-3 spans [4, 8)
+        (Geometry.RING, 2, 5, 2**32 + 4),  # 4 once wrapped to 32 bits
+        (Geometry.SYMPHONY, 0, 2, 2),  # near-1 spans 1
+        (Geometry.SYMPHONY, 1, 2, 0),
+        (Geometry.SYMPHONY, 1, 2, 8),  # shortcuts span [1, N)
+    ],
+)
+def test_overlay_rejects_entries_outside_their_link(kind, row, node, entry):
+    # A link the build could not draw: the router would read past the
+    # table, or another aliveness row, or a wrong span, and narrowing the
+    # table to 16 bits would hide it.
+    spec = GeometrySpec(kind, 3)
+    overlay = build_overlay(spec, 1)
+    table = overlay.table.astype(np.int64)
+    assert Overlay(spec, table).table.tolist() == table.tolist()
+    table[row, node] = entry
+    link = overlay.roles[row]
+    with pytest.raises(ValueError, match=rf"^{kind.value} link {link} of node {node} is out of range: {entry}$"):
+        Overlay(spec, table)
+
+
 # --- failure patterns ----------------------------------------------------------
 
 
@@ -290,30 +319,34 @@ def test_route_copies_no_overlay_table(kind):
 
 @pytest.mark.parametrize("kind", ALL_GEOMETRIES)
 def test_build_stores_only_its_draws(kind, monkeypatch):
-    # tree and hypercube keep no table, xor its drawn targets, ring and
-    # symphony their drawn spans: one links x N int32 table at most, and
-    # one N-entry float64 temporary (symphony's in-place shortcut draw)
-    # besides.  At d = 16 a chunk is a row, and each share holds one
-    # chunk's temporaries at a time (4 bytes an entry for xor and ring,
-    # 8 for symphony's one-row share), so one or two shares keep the bound.
-    d = 16
-    n = 1 << d
-    assert n >= simulator.PARALLEL_MIN_NODES
-    spec = GeometrySpec(kind, d)
-    build_overlay(spec, 1)  # lazy imports and caches are not the build's
-    for cpus in (1, 2):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-        tracemalloc.start()
-        try:
-            overlay = build_overlay(spec, 5)
-            kept, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        table = len(overlay.roles) * n * np.dtype(np.int32).itemsize
-        stored = 0 if kind in (Geometry.TREE, Geometry.HYPERCUBE) else table
-        assert stored <= kept < stored + n
-        assert peak < (table if stored == 0 else stored + 9 * n)
-        del overlay
+    # tree and hypercube keep no table, xor its drawn suffixes, ring and
+    # symphony their drawn span values: 2 bytes an entry of a links x N
+    # table, plus 1 an entry of the rows whose values reach 2^16 (none at
+    # d = 16; at d = 18 xor's bucket-1, ring's finger-18 and symphony's
+    # shortcut), so a 4-byte table fails.  A chunk is 2^16 entries, and each
+    # share holds one chunk's temporaries at a time (4 bytes an entry for
+    # xor and ring, 8 for symphony's shortcut draw, plus the 8,192-entry
+    # buffer of the cast into 16 bits), so one or two shares keep the peak
+    # bound.
+    for d in (16, 18):
+        n = 1 << d
+        assert n >= simulator.PARALLEL_MIN_NODES
+        spec = GeometrySpec(kind, d)
+        links = spec.k_n + spec.k_s if kind is Geometry.SYMPHONY else d
+        high = {Geometry.XOR: max(0, d - 17), Geometry.RING: max(0, d - 17)}.get(kind, spec.k_s * (d > 16))
+        stored = 0 if kind in (Geometry.TREE, Geometry.HYPERCUBE) else (2 * links + high) * n
+        build_overlay(spec, 1)  # lazy imports and caches are not the build's
+        for cpus in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+            tracemalloc.start()
+            try:
+                overlay = build_overlay(spec, 5)
+                kept, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert stored <= kept < stored + n, (d, cpus)
+            assert peak < (4 * links * n if stored == 0 else stored + 10 * n), (d, cpus)
+            del overlay
 
 
 def _share_threads(monkeypatch, size, fail_on_helper=None):
@@ -397,7 +430,7 @@ def test_sweep_never_derives_targets(kind, pairs):
 
     estimate_sweep(GeometrySpec(kind, 16), (0.0, 0.2), 1, pairs, SEEDS, builder=builder)
     assert len(overlays) == 1
-    assert "targets" not in vars(overlays[0])
+    assert not {"table", "targets", "offsets"} & set(vars(overlays[0]))
 
 
 @pytest.mark.parametrize("n", [2, 5, 1 << 16, (1 << 17) + 3])
