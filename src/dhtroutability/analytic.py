@@ -186,11 +186,6 @@ def cumulative_success(hazards: np.ndarray) -> np.ndarray:
         return np.cumprod(1.0 - hazards, axis=0)
 
 
-def success_series(spec: GeometrySpec, q: float, h_max: int) -> np.ndarray:
-    """p(1..h_max) for the geometry; h_max may exceed spec.d."""
-    return cumulative_success(hazard_series(spec, q, h_max))
-
-
 def expected_reach(spec: GeometrySpec, q: float) -> float:
     """E[S] = sum_h n(h) * p(h, q), the mean reachable-set size."""
     return _expected_reaches((spec,), (q,))[0][0]

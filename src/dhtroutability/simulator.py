@@ -19,14 +19,14 @@ Every hop strictly decreases the metric, so routes are loop-free; a
 defensive hop cap of 4N aborts a route anyway and is counted separately.
 
 One lockstep driver (_lockstep) advances whole pair arrays one hop at a
-time under one router, _route_batch.  symphony walks its link columns
-for the longest alive span that does not overshoot; tree, hypercube, xor
-and ring share one word rule, which reads a node's alive links from one
-integer.  The router packs every node's word once per aliveness row, at
-N x links, while N is at most MASK_NODES_PER_PAIR times the pairs per
-row, and otherwise reads each active pair's links per hop, from the
-highest usable one down.  It takes a stack of aliveness rows, one per q
-point, and routes each pair over its own row.
+time under one router, _route_batch.  symphony walks its links for the
+longest alive span that does not overshoot; tree, hypercube, xor and ring
+share one word rule, which reads a node's alive links from one integer,
+bit b for link row b (below).  The router packs every node's word once
+per aliveness row, at N x links, while N is at most MASK_NODES_PER_PAIR
+times the pairs per row, and otherwise reads each active pair's links per
+hop, from the highest usable one down.  It takes a stack of aliveness
+rows, one per q point, and routes each pair over its own row.
 
 estimate_sweep traces routability over a whole q grid: per trial it
 builds the overlay and draws one failure uniform per node once, for
@@ -40,22 +40,25 @@ count: from PARALLEL_MIN_NODES nodes on, tables and failure uniforms are
 drawn by one thread per CPU, each from its stream jumped ahead to its
 share's first draw, in place (_draw_below shifts raw draws into a table).
 An overlay is its spec plus the one value its build draws per link, stored
-link-major: the low 16 bits in a links x N uint16 table, and the bits above
-in a uint8 plane of only the rows whose values can reach 2^16 (none up to
-d = 16; at d = 20, three rows for xor and ring, and k_s for symphony):
+link-major in word-bit order: row b holds the link that flips bit b, or
+finger b + 1, and symphony's rows are its links.  The low 16 bits sit in a
+links x N uint16 table, the bits above in a uint8 plane of its last rows,
+whose values can reach 2^16 (none up to d = 16; at d = 20, three rows for
+xor and ring, and k_s for symphony):
 
-  tree, hypercube  nothing: link c of node v is v ^ (1 << (d - 1 - c))
-  xor              the drawn suffix below the flipped bit; the target keeps
-                   v's bits above it
-  ring             span - 2^c; a target is (v + span) mod N
+  tree, hypercube  nothing: link b of node v is v ^ (1 << b)
+  xor              the drawn b-bit suffix below flipped bit b; the target
+                   keeps v's bits above it
+  ring             span - 2^b, also below 2^b; a target is (v + span) mod N
   symphony         the span
 
-_link_entries reads a link's int32 table entry (xor's target, ring's and
-symphony's span) from what is stored, and _link_targets its target; the
+_link_entries reads a row's int32 table entries (xor's target, ring's and
+symphony's span) from what is stored, and _link_targets its targets; the
 router reads links only through them.  Overlay.table, .targets and
-.offsets are derived from them only when read.  Only one trial's overlay
-is alive at a time.  check_scale caps d at SIM_MAX_D, and symphony's k_n
-too, since each near link is a table row.
+.offsets keep the column order of roles (bucket-1 first), derived from
+the rows only when read.  Only one trial's overlay is alive at a time.
+check_scale caps d at SIM_MAX_D, and symphony's k_n too, since each near
+link is a table row.
 """
 
 from __future__ import annotations
@@ -111,15 +114,15 @@ class SimSeeds(NamedTuple):
 class Overlay:
     """A built topology: its spec plus the one value its build draws per link.
 
-    Overlay(spec, table) takes the links x N int32 table: xor's link
-    targets, ring's and symphony's clockwise spans, None for tree and
-    hypercube.  It rejects a table whose presence, shape or entries do not
-    fit spec: xor row c must flip bit d - 1 - c and keep every bit above it,
-    ring row c must lie in [2^c, 2^(c+1)), symphony's near-j spans must be j
-    and its shortcut spans lie in [1, N).  It stores only each entry's
-    value (see the module docstring), in a links x N uint16 table and, on
-    the rows _high_rows whose values can reach 2^16, a uint8 plane of the
-    bits above.
+    Overlay(spec, table) takes the links x N integer table in roles order:
+    xor's link targets, ring's and symphony's clockwise spans, None for tree
+    and hypercube.  It rejects a table whose presence, shape, dtype or
+    entries do not fit spec: xor's link in row b must flip bit b and keep
+    every bit above it, ring's (finger b + 1) must lie in [2^b, 2^(b+1)),
+    symphony's near-j spans must be j and its shortcut spans lie in [1, N).
+    It stores only each entry's value, in row _row(c) of link column c (see
+    the module docstring): a links x N uint16 table and, on the last rows
+    _high_rows, whose values can reach 2^16, a uint8 plane of the bits above.
 
     roles[c] names link column c's kind (bucket-i / finger-i / near-i /
     shortcut-i).  table, offsets[v, c], v's c-th clockwise span (table's
@@ -129,7 +132,6 @@ class Overlay:
     """
 
     _low = _high = None
-    _high_rows = range(0)
 
     def __init__(self, spec: GeometrySpec, table: np.ndarray | None = None):
         self.spec = spec
@@ -143,28 +145,35 @@ class Overlay:
         if np.shape(table) != (links, self.n_nodes):
             raise ValueError(f"{kind} link table must be {links} x {self.n_nodes}, "
                              f"got {np.shape(table)}")
+        table = np.asarray(table)
+        if not np.issubdtype(table.dtype, np.integer):
+            raise ValueError(f"{kind} link table must hold integers, got {table.dtype}")
         self._allocate()
         ids = np.arange(self.n_nodes)
-        for c, entries in enumerate(np.asarray(table)):  # one row's int64 temporaries at a time
-            entries = entries.astype(np.int64)
-            base = _value_base(spec, c, ids)
+        for c, entries in enumerate(table):  # one row's int64 temporaries at a time
+            entries, row = entries.astype(np.int64), self._row(c)
+            base = _value_base(spec, row, ids)
             values = entries if base is None else entries ^ base
-            lo, hi = _value_bounds(spec, c)
+            lo, hi = _value_bounds(spec, row)
             bad = np.flatnonzero((values < lo) | (values >= hi))
             if bad.size:
                 raise ValueError(f"{kind} link {self.roles[c]} of node {bad[0]} is out of range: "
                                  f"{entries[bad[0]]}")
-            self._low[c] = values
-            if c in self._high_rows:
-                self._high[c - self._high_rows.start] = values >> 16
+            self._low[row] = values
+            if row in self._high_rows:
+                self._high[row - self._high_rows.start] = values >> 16
 
     def _allocate(self) -> None:
-        """Allocate the unfilled uint16 table and uint8 plane."""
+        """Allocate the unfilled uint16 table and the uint8 plane of its tall rows."""
         links = len(self.roles)
-        tall = np.flatnonzero(_value_bounds(self.spec, np.arange(links))[1] > 1 << 16)
-        self._high_rows = range(tall[0], tall[-1] + 1) if tall.size else range(0)
+        tall = np.count_nonzero(_value_bounds(self.spec, np.arange(links))[1] > 1 << 16)
+        self._high_rows = range(links - tall, links)
         self._low = np.empty((links, self.n_nodes), dtype=np.uint16)
-        self._high = np.empty((len(self._high_rows), self.n_nodes), dtype=np.uint8)
+        self._high = np.empty((tall, self.n_nodes), dtype=np.uint8)
+
+    def _row(self, column):
+        """Link column column's row: the bit it flips (bucket-i: d - i), or column."""
+        return column if self.spec.kind in (Geometry.RING, Geometry.SYMPHONY) else self.spec.d - 1 - column
 
     @property
     def n_nodes(self) -> int:
@@ -181,14 +190,14 @@ class Overlay:
         return tuple(f"{link}-{i}" for i in range(1, spec.d + 1))
 
     def _derive(self, rule) -> np.ndarray:
-        """rule(self, c, nodes) for each link column c, as a links x N int32
-        table, 2^16 nodes at a time, so that the rule's temporaries stay in
-        cache."""
+        """rule(self, row, nodes) for each link column's row, as a links x N
+        int32 table in roles order, 2^16 nodes at a time, so that the rule's
+        temporaries stay in cache."""
         ids = np.arange(self.n_nodes, dtype=np.int32)
         table = np.empty((len(self.roles), self.n_nodes), dtype=np.int32)
-        for c, row in enumerate(table):
+        for c, out in enumerate(table):
             for first in range(0, self.n_nodes, 1 << 16):
-                row[first : first + (1 << 16)] = rule(self, c, ids[first : first + (1 << 16)])
+                out[first : first + (1 << 16)] = rule(self, self._row(c), ids[first : first + (1 << 16)])
         return table
 
     @functools.cached_property
@@ -204,53 +213,48 @@ class Overlay:
         return self.table.T if self.spec.kind is Geometry.XOR else self._derive(_link_targets).T
 
 
-def _value_bounds(spec: GeometrySpec, c):
-    """(lo, hi): the range [lo, hi) of the values stored in rows c."""
+def _value_bounds(spec: GeometrySpec, row):
+    """(lo, hi): the range [lo, hi) of the values stored in rows row."""
+    if spec.kind is not Geometry.SYMPHONY:
+        return 0, 1 << row
+    near = row < spec.k_n
+    return np.where(near, row + 1, 1), np.where(near, row + 2, spec.n_nodes)
+
+
+def _value_base(spec: GeometrySpec, row, node):
+    """What row row of the nodes node XORs onto its stored value to give its
+    table entry: xor's target bits from the flipped one up, ring's 2^row,
+    and None for symphony, which stores its entries."""
     if spec.kind is Geometry.XOR:
-        return 0, (spec.n_nodes >> 1) >> c
-    if spec.kind is Geometry.RING:
-        return 0, 1 << c
-    near = c < spec.k_n
-    return np.where(near, c + 1, 1), np.where(near, c + 2, spec.n_nodes)
+        return ((node >> row) ^ 1) << row
+    return np.left_shift(1, row, dtype=np.int32) if spec.kind is Geometry.RING else None
 
 
-def _value_base(spec: GeometrySpec, column, node):
-    """What link column column of the nodes node XORs onto its stored value
-    to give its table entry: xor's target bits from the flipped one up,
-    ring's 2^c, and None for symphony, which stores its entries."""
-    if spec.kind is Geometry.XOR:
-        flipped = spec.d - 1 - column
-        return ((node >> flipped) ^ 1) << flipped
-    return np.left_shift(1, column, dtype=np.int32) if spec.kind is Geometry.RING else None
-
-
-def _link_entries(overlay: Overlay, column, node):
-    """table[column, node] of the nodes node, int32 arrays that broadcast:
-    the stored value, its uint16 table bits and on _high_rows the plane's
-    bits above them, XOR its _value_base.  A column outside the table gives
-    some value; callers use it only where they discard it."""
+def _link_entries(overlay: Overlay, row, node):
+    """The table entries in row row of the nodes node, int32 arrays that
+    broadcast: the stored value, its uint16 table bits and on _high_rows the
+    plane's bits above them, XOR its _value_base.  A row outside the table
+    gives some value; callers use it only where they discard it."""
     n = overlay.n_nodes
-    value = overlay._low.take(column * n + node, mode="clip").astype(np.int32)
-    rows = overlay._high_rows
-    if rows and np.ndim(column):
-        row = np.subtract(column, rows.start)
-        high = np.left_shift(overlay._high.take(row * n + node, mode="clip"), 16, dtype=np.int32)
-        value |= np.where((row >= 0) & (row < len(rows)), high, 0)
-    elif column in rows:
-        value |= np.left_shift(overlay._high[column - rows.start].take(node), 16, dtype=np.int32)
-    base = _value_base(overlay.spec, column, node)
+    value = overlay._low.take(row * n + node, mode="clip").astype(np.int32)
+    tall = row - overlay._high_rows.start
+    if np.max(tall) >= 0:
+        high = overlay._high.take(tall * n + node, mode="clip")
+        value |= np.left_shift(high, 16, dtype=np.int32) * (tall >= 0)
+    base = _value_base(overlay.spec, row, node)
     return value if base is None else value ^ base
 
 
-def _link_targets(overlay: Overlay, column, node):
-    """The targets of link column column of the nodes node, int32 arrays
-    that broadcast, by the overlay's geometry: xor's table entry, (node +
-    span) mod N on ring and symphony.  A column outside the table gives
-    some node id; callers use it only where they discard it."""
+def _link_targets(overlay: Overlay, row, node):
+    """The targets in row row of the nodes node, int32 arrays that
+    broadcast, by the overlay's geometry: node ^ 2^row on tree and
+    hypercube, xor's table entry, (node + span) mod N on ring and symphony.
+    A row outside the table gives some node id; callers use it only where
+    they discard it."""
     spec = overlay.spec
     if spec.kind in (Geometry.TREE, Geometry.HYPERCUBE):
-        return node ^ np.left_shift(1, spec.d - 1 - column, dtype=np.int32)
-    entry = _link_entries(overlay, column, node)
+        return node ^ np.left_shift(1, row, dtype=np.int32)
+    entry = _link_entries(overlay, row, node)
     # int32 cannot overflow: ids and spans are below 2^SIM_MAX_D (near spans
     # are at most k_n <= SIM_MAX_D), so a sum is below 2^21.
     return entry if spec.kind is Geometry.XOR else (node + entry) & (overlay.n_nodes - 1)
@@ -322,11 +326,10 @@ def _draw_below(rng: np.random.Generator, bits: int, out: np.ndarray, high=None)
     On a power-of-two range Lemire's method never rejects, so each value
     is the top bits bits of one 32-bit output, two per raw 64-bit draw
     (low half first), shifted straight into out.  0 bits draw nothing, as
-    in numpy.
+    in numpy; no 0-bit row has a high plane.
     """
     if bits == 0:
-        for part in (out, high if high is not None else out):
-            part.fill(0)
+        out.fill(0)
         return
     raw = rng.bit_generator.random_raw(out.size // 2).astype("<u8", copy=False).view("<u4")
     np.right_shift(raw, 32 - bits, out=out)
@@ -342,15 +345,14 @@ def build_overlay(spec: GeometrySpec, build_seed: int) -> Overlay:
     planes.
     """
     check_scale(spec)
-    d = spec.d
     if build_seed < 0:
         raise ValueError("build_seed must be a non-negative integer")
-    n = 1 << d
+    n = spec.n_nodes
     kind = spec.kind
 
     if kind in (Geometry.TREE, Geometry.HYPERCUBE):
-        # Bucket-i neighbor (row i-1) flips bit i (bit 1 = most significant)
-        # and keeps every other bit, so tree hops correct exactly one bit.
+        # Link b flips bit b and keeps every other bit, so tree hops correct
+        # exactly one bit.
         return Overlay(spec)
     overlay = Overlay.__new__(Overlay)
     overlay.spec = spec
@@ -361,10 +363,14 @@ def build_overlay(spec: GeometrySpec, build_seed: int) -> Overlay:
         return overlay._high[row - rows.start, node : node + part.size] if row in rows else None
 
     if kind is Geometry.XOR:
-        # xor keeps bits 1..i-1, flips bit i, and draws the remaining d-i
-        # bits uniformly at random (the last bucket's width 1 draws nothing).
-        buckets = lambda rng, part, row, node: _draw_below(rng, d - 1 - row, part, high(row, node, part))
-        _draw_in_shares(build_seed, low, 2, buckets)
+        # Bucket i keeps the bits above bit b = d - i, flips it, and draws
+        # the b bits below uniformly at random (bucket d draws nothing).
+        # Buckets are drawn in roles order, into the reversed rows.
+        def buckets(rng, part, column, node):
+            row = overlay._row(column)
+            _draw_below(rng, row, part, high(row, node, part))
+
+        _draw_in_shares(build_seed, low[::-1], 2, buckets)
     elif kind is Geometry.RING:
         # Finger i spans a clockwise offset drawn uniformly from
         # [2^(i-1), 2^i); finger 1 is always the immediate successor.
@@ -494,11 +500,11 @@ def _route_batch(overlay: Overlay, alive: np.ndarray, src, dst, row=0):
 
         def step(node, goal, base):
             # The longest alive span that does not overshoot, one link
-            # column at a time; span 0 means no link is usable.
+            # at a time; span 0 means no link is usable.
             here = (goal - node) & (n - 1)
             span = np.zeros_like(here)
-            for column in links:
-                o = _link_entries(overlay, column, node)
+            for link in links:
+                o = _link_entries(overlay, link, node)
                 usable = alive.take(base + ((node + o) & (n - 1)))
                 usable &= o <= here
                 np.maximum(span, o * usable, out=span)
@@ -524,15 +530,9 @@ def _route_batch(overlay: Overlay, alive: np.ndarray, src, dst, row=0):
                 usable = 1 << (_bit_length(usable) - 1)
         bit = _bit_length(words(node, base, usable) & usable) - 1
         # A dead end's bit is -1: its target is read and discarded.
-        return _link_targets(overlay, _link_column(overlay, bit), node), bit < 0
+        return _link_targets(overlay, bit, node), bit < 0
 
     return _lockstep(n, src, dst, row, step)
-
-
-def _link_column(overlay: Overlay, bit):
-    """The table column of word bit bit's link: finger bit + 1 (ring) or the
-    link that flips bit bit.  The map is its own inverse."""
-    return bit if overlay.spec.kind is Geometry.RING else overlay.spec.d - 1 - bit
 
 
 def _alive_link_words(overlay: Overlay, alive: np.ndarray, pairs: int):
@@ -540,27 +540,25 @@ def _alive_link_words(overlay: Overlay, alive: np.ndarray, pairs: int):
     the row that starts at base of the flat rows x N aliveness table
     alive, exact on the usable bits down to the highest alive one.
 
-    Bit b of a word is set when the link in column _link_column(overlay, b)
-    is alive.  While rows x N is at most MASK_NODES_PER_PAIR x pairs,
-    every row is packed once up front.  Otherwise each call reads each
-    node's highest usable link, and all its links (a cache miss each) only
-    where it is dead.
+    Bit b of a word is set when the link in row b is alive.  While rows x N
+    is at most MASK_NODES_PER_PAIR x pairs, every row is packed once up
+    front.  Otherwise each call reads each node's highest usable link, and
+    all its links (a cache miss each) only where it is dead.
     """
     if alive.size <= MASK_NODES_PER_PAIR * pairs:
         packed = np.ravel(_pack_alive_links(overlay, alive))
         return lambda node, base, usable: packed.take(base + node)
-    columns = np.arange(len(overlay.roles), dtype=np.int32)
-    weights = np.left_shift(1, _link_column(overlay, columns), dtype=np.int32)
+    bits = np.arange(len(overlay.roles), dtype=np.int32)
 
     def gathered(node, base, usable):
         top = _bit_length(usable) - 1
         # Where usable is 0, top is -1: the read is unused, shifts give 0.
-        hit = alive.take(base + _link_targets(overlay, _link_column(overlay, top), node))
+        hit = alive.take(base + _link_targets(overlay, top, node))
         word = np.left_shift(hit, top, dtype=np.int32)
         miss = np.flatnonzero(~hit & (usable != 1 << top))
         if miss.size:
-            links = _link_targets(overlay, columns[:, None], node.take(miss))
-            word[miss] = weights @ alive.take(base.take(miss) + links)
+            links = _link_targets(overlay, bits[:, None], node.take(miss))
+            word[miss] = np.left_shift(1, bits, dtype=np.int32) @ alive.take(base.take(miss) + links)
         return word
 
     return gathered
@@ -568,13 +566,13 @@ def _alive_link_words(overlay: Overlay, alive: np.ndarray, pairs: int):
 
 def _pack_alive_links(overlay: Overlay, alive: np.ndarray) -> np.ndarray:
     """One int32 per node and aliveness row (rows x N): bit b is set when
-    the link in column _link_column(overlay, b) is alive in that row."""
+    the link in row b is alive in that row."""
     alive = np.reshape(alive, (-1, overlay.n_nodes))
     ids = np.arange(overlay.n_nodes, dtype=np.int32)
     packed = np.zeros(alive.shape, dtype=np.int32)
-    for c in range(len(overlay.roles)):
-        hit = alive.take(_link_targets(overlay, c, ids), axis=1)
-        packed |= np.left_shift(hit, _link_column(overlay, c), dtype=np.int32)
+    for b in range(len(overlay.roles)):
+        hit = alive.take(_link_targets(overlay, b, ids), axis=1)
+        packed |= np.left_shift(hit, b, dtype=np.int32)
     return packed
 
 

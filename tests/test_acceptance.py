@@ -35,8 +35,9 @@ import time
 
 from dhtroutability.analytic import (
     DenominatorMode,
+    cumulative_success,
+    hazard_series,
     routability,
-    success_series,
     tree_closed_form,
 )
 from dhtroutability.cli import main
@@ -128,7 +129,7 @@ def test_criterion_03_hypercube_enumeration_oracle():
                     if count
                 )
                 spec = GeometrySpec(Geometry.HYPERCUBE, d)
-                analytic = float(success_series(spec, q, h)[-1])
+                analytic = float(cumulative_success(hazard_series(spec, q, h))[-1])
                 if abs(analytic - oracle) > 1e-10:
                     violations.append(
                         f"d={d} h={h} q={q}: analytic={analytic!r} oracle={oracle!r}"

@@ -24,7 +24,6 @@ from dhtroutability.analytic import (
     routability,
     routability_sweep,
     suboptimal_hop_cap,
-    success_series,
     symphony_phase_failure,
     tree_closed_form,
 )
@@ -53,8 +52,8 @@ def _hazard(kind, q, m, d=None):
 
 
 def _path_success(kind, d, q, h):
-    """p(h, q) read from success_series."""
-    return float(success_series(GeometrySpec(kind, d), q, h)[-1])
+    """p(h, q) read from the cumulative product of hazard_series."""
+    return float(cumulative_success(hazard_series(GeometrySpec(kind, d), q, h))[-1])
 
 
 def xor_phase_failure_approx(q, m):
@@ -230,8 +229,8 @@ def test_one_hop_success_within_target_survival(kind):
     for d in (1, 2, 4, 8, 12, 16, 20, 40, 65, 100, 1000):
         spec = GeometrySpec(kind, d)
         for q in [round(0.05 * i, 2) for i in range(20)]:
-            assert success_series(spec, q, 1)[0] <= 1.0 - q, (d, q)
-            assert success_series(spec, q, d)[0] == 1.0 - q, (d, q)
+            assert cumulative_success(hazard_series(spec, q, 1))[0] <= 1.0 - q, (d, q)
+            assert cumulative_success(hazard_series(spec, q, d))[0] == 1.0 - q, (d, q)
 
 
 def test_ring_hazard_below_xor_hazard():
@@ -398,7 +397,7 @@ NORMALIZED_QS = tuple(round(i * 0.05, 10) for i in range(20))  # the CLI's 0..0.
 
 def _normalized_routability(spec, weights, q, mode):
     """(routability, clamped, E[S]/2^d) in the normalized convention."""
-    reach = math.fsum((success_series(spec, q, spec.d) * weights).tolist())
+    reach = math.fsum((cumulative_success(hazard_series(spec, q, spec.d)) * weights).tolist())
     one = math.ldexp(1.0, -spec.d)
     pn = mode is DenominatorMode.PN_MINUS_ONE
     raw = reach / ((1.0 - q) * 1.0 - one if pn else (1.0 - one) * (1.0 - q))
@@ -765,7 +764,7 @@ def test_hazard_of_one_warns_nothing():
     assert (hazard_series(spec, q, 10_000) == 1.0).any()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        p = success_series(spec, q, 10_000)
+        p = cumulative_success(hazard_series(spec, q, 10_000))
         verdict = classify(spec, q)
     assert p[-1] == 0.0
     assert [product for _, product in verdict.partial_products] == [0.0] * len(

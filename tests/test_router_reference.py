@@ -112,12 +112,17 @@ def _pairs(n, rng, limit):
 )
 def test_batched_router_matches_reference(kind, d, q, monkeypatch):
     # d = 16 checks the link-major gathers on tables that outgrow the cache.
+    # The reference routes over reference_overlay's links, not over
+    # Overlay.targets, which the router's link rule derives.
     rng = np.random.default_rng([d, int(q * 10)])
-    overlay = build_overlay(GeometrySpec(kind, d), int(rng.integers(2**32)))
+    spec = GeometrySpec(kind, d)
+    seed = int(rng.integers(2**32))
+    overlay = build_overlay(spec, seed)
     alive = draw_failure_pattern(1 << d, q, int(rng.integers(2**32))).alive
     # Dead endpoints included: a dead dst can only dead-end.
     src, dst = _pairs(1 << d, rng, limit=1500)
-    _assert_agree(monkeypatch, overlay, alive, src, dst, route_checks=100)
+    targets, offsets, _ = reference_overlay(spec, seed)
+    _assert_agree(monkeypatch, overlay, alive, src, dst, route_checks=100, links=(targets, offsets))
 
 
 @pytest.mark.parametrize("kind", [Geometry.XOR, Geometry.RING])
@@ -287,6 +292,28 @@ def test_stacked_rows_match_one_call_per_row(kind, d, monkeypatch):
         got = _route_batch(overlay, alive, src[order], dst[order], row[order])
         for name, g, w in zip(("delivered", "hops", "capped"), got, want):
             assert g.tolist() == w.tolist(), (source, name)
+
+
+@pytest.mark.parametrize("kind", [Geometry.TREE, Geometry.HYPERCUBE])
+def test_bit_flip_routes_take_one_hop_per_differing_bit(kind, monkeypatch):
+    # Each tree or hypercube hop flips one bit of node ^ dst, so a delivered
+    # route takes popcount(src ^ dst) hops and a dead end fewer, at
+    # d = 6..12 over the default q grid (0 to 0.5 by 0.05), on both word
+    # sources.
+    for d in range(6, 13):
+        n = 1 << d
+        rng = np.random.default_rng([d, 32])
+        overlay = build_overlay(GeometrySpec(kind, d), d)
+        uniforms = rng.random(n)
+        alive = np.stack([uniforms >= i / 20 for i in range(11)])
+        src, dst = rng.integers(n, size=(2, len(alive) * 200))
+        row = np.repeat(np.arange(len(alive)), 200)
+        bits = np.array([int(x).bit_count() for x in (src ^ dst).tolist()])
+        for source in _each_word_source(monkeypatch):
+            delivered, hops, capped = _route_batch(overlay, alive, src, dst, row)
+            assert hops[delivered].tolist() == bits[delivered].tolist(), (d, source)
+            assert (hops[~delivered] < bits[~delivered]).all(), (d, source)
+            assert not capped.any() and (bits[delivered] > 1).sum() > 500, (d, source)
 
 
 @pytest.mark.parametrize("kind", ALL_GEOMETRIES)

@@ -3,6 +3,7 @@ import os
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -160,14 +161,28 @@ def test_build_rejects_large_symphony_kn(k_n, monkeypatch):
         (Geometry.SYMPHONY, (3, 16), r"symphony link table must be 2 x 16, got \(3, 16\)"),
         (Geometry.XOR, (4, 8), r"must be 4 x 16, got \(4, 8\)"),
         (Geometry.RING, (16, 4), r"must be 4 x 16, got \(16, 4\)"),
+        (Geometry.RING, 4.7, r"^ring link table must hold integers, got float64$"),
+        (Geometry.RING, np.nan, r"^ring link table must hold integers, got float64$"),
+        (Geometry.SYMPHONY, np.float32(1), r"^symphony link table must hold integers, got float32$"),
+        (Geometry.XOR, True, r"^xor link table must hold integers, got bool$"),
     ],
 )
 def test_overlay_rejects_malformed_table(kind, shape, match):
-    # A table whose presence or shape does not fit the spec: the router
-    # would read the wrong rule, run off a row, or clip into another link.
-    table = None if shape is None else np.ones(shape, dtype=np.int32)
-    with pytest.raises(ValueError, match=match):
-        Overlay(GeometrySpec(kind, 4), table)
+    # A table whose presence, shape or dtype does not fit the spec: the
+    # router would read the wrong rule, run off a row, or clip into another
+    # link.  shape is no table, the shape of a table of ones, or one entry
+    # of a built table cast to that entry's type.  A float table is rejected
+    # before any cast, which would truncate ring's finger-3 span 4.7 to a
+    # valid 4, or warn on NaN.
+    spec = GeometrySpec(kind, 4)
+    if shape is None or isinstance(shape, tuple):
+        table = None if shape is None else np.ones(shape, dtype=np.int32)
+    else:
+        table = build_overlay(spec, 1).table.astype(type(shape))
+        table[-2, 5] = shape
+    with warnings.catch_warnings(), pytest.raises(ValueError, match=match):
+        warnings.simplefilter("error")
+        Overlay(spec, table)
 
 
 @pytest.mark.parametrize(
